@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import warnings
@@ -36,13 +35,7 @@ from .code_core import (
     validate,
 )
 from .matrix_io import MatrixFormatError, read_matrix, write_matrix
-from .verification import (
-    Verdict,
-    WitnessSearchError,
-    verify_cover_free,
-    witness_counts,
-    witness_row,
-)
+from .verification import WitnessSearchError, verify_cover_free, witness_row
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
@@ -122,53 +115,27 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     matrix, _ = read_matrix(args.file)
-    threads = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if args.count_witnesses:
-        verdict, min_count, min_query = _verify_counting(matrix, args.s, args.l)
-    else:
-        verdict = verify_cover_free(matrix, args.s, args.l, threads=threads)
-        min_count = min_query = None
+    verdict = verify_cover_free(matrix, args.s, args.l,
+                                count_witnesses=args.count_witnesses)
+    bad, least = verdict.counterexample, verdict.min_family
     if args.json:
-        counter = None
-        if verdict.counterexample is not None:
-            counter = {"neg": list(verdict.counterexample.neg_cols),
-                       "pos": list(verdict.counterexample.pos_cols)}
         payload = {"holds": verdict.holds, "s": args.s, "l": args.l,
                    "rows": matrix.num_rows, "cols": matrix.num_cols,
-                   "counterexample": counter,
+                   "counterexample": bad and {"neg": list(bad.neg_cols),
+                                              "pos": list(bad.pos_cols)},
                    "witness_count": verdict.witness_count}
-        if min_count is not None:
-            payload["min_witnesses"] = min_count
+        if args.count_witnesses:
+            payload["min_witnesses"] = verdict.witness_count
         print(json.dumps(payload))
     else:
-        if verdict.holds:
-            print(f"COVER-FREE ({args.s},{args.l})")
-        else:
-            print(f"NOT COVER-FREE ({args.s},{args.l})")
-            assert verdict.counterexample is not None
-            print(f"neg {_format_positions(verdict.counterexample.neg_cols)}")
-            print(f"pos {_format_positions(verdict.counterexample.pos_cols)}")
-        if min_count is not None and min_query is not None:
-            print(f"min witnesses {min_count} at neg {_format_positions(min_query.neg_cols)} "
-                  f"pos {_format_positions(min_query.pos_cols)}")
+        print(f"{'' if verdict.holds else 'NOT '}COVER-FREE ({args.s},{args.l})")
+        if bad is not None:
+            print(f"neg {_format_positions(bad.neg_cols)}")
+            print(f"pos {_format_positions(bad.pos_cols)}")
+        if args.count_witnesses:
+            print(f"min witnesses {verdict.witness_count} at neg {_format_positions(least.neg_cols)} "
+                  f"pos {_format_positions(least.pos_cols)}")
     return EXIT_OK if verdict.holds else EXIT_PROPERTY_FAILS
-
-
-def _verify_counting(matrix, s: int, ell: int):
-    """Full-count pass: verdict plus the minimum witness multiplicity."""
-    first_fail = None
-    last_count = 0
-    min_count = None
-    min_query = None
-    for query, count in witness_counts(matrix, s, ell):
-        if count == 0 and first_fail is None:
-            first_fail = query
-        if min_count is None or count < min_count:
-            min_count, min_query = count, query
-        last_count = count
-    if first_fail is not None:
-        return Verdict(False, first_fail, 0), min_count, min_query
-    return Verdict(True, None, last_count), min_count, min_query
 
 
 def _cmd_entry(args: argparse.Namespace) -> int:
@@ -242,9 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True, help="negative family size")
     p.add_argument("--l", type=int, required=True, help="positive family size")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: available parallelism)")
+                   help="accepted for compatibility; has no effect")
     p.add_argument("--count-witnesses", action="store_true",
-                   help="disable early exit and report witness multiplicity")
+                   help="also report the least witness multiplicity and the first "
+                        "family reaching it (stops at a zero)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 

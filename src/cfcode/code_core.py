@@ -21,6 +21,8 @@ from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_u
 
 # Default cap on materialized matrix size, in bits.
 MATERIALIZE_BIT_BUDGET = 1 << 30
+# Rows per block of the bulk column transpose; bounds its scratch string.
+TRANSPOSE_BLOCK_ROWS = 2048
 
 
 class ParameterError(ValueError):
@@ -182,8 +184,22 @@ class BitMatrix:
             out |= ((r >> j) & 1) << i
         return out
 
+    def columns(self) -> list[int]:
+        """Every column packed into an int (bit i = row i). A block of rows,
+        last row first, is formatted as one string of binary numerals;
+        column j is its stride-``num_cols`` slice from ``num_cols - 1 - j``."""
+        t = self.num_cols
+        fmt = f"0{t}b"
+        cols = [0] * t
+        for start in range(0, self.num_rows, TRANSPOSE_BLOCK_ROWS):
+            block = self.rows[start:start + TRANSPOSE_BLOCK_ROWS]
+            bits = "".join([format(r, fmt) for r in reversed(block)])
+            for j in range(t):
+                cols[j] |= int(bits[t - 1 - j::t], 2) << start
+        return cols
+
     def column_sums(self) -> list[int]:
-        return [self.column_int(j).bit_count() for j in range(self.num_cols)]
+        return [c.bit_count() for c in self.columns()]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):

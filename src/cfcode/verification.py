@@ -9,8 +9,8 @@ ell disjoint "positive" columns admits a row that is 0 on all negatives and
 
 from __future__ import annotations
 
+import functools
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -64,13 +64,16 @@ class Verdict:
     """Outcome of a verification run.
 
     When ``holds`` is false, ``counterexample`` is the first failing family in
-    enumeration order and ``witness_count`` is 0. When it is true and the run
-    counted witnesses, ``witness_count`` reports the last family's count.
+    enumeration order, ``witness_count`` is 0 and ``min_family`` is that
+    family. When it is true and the run counted witnesses, ``witness_count``
+    is the least number of witness rows over all families and ``min_family``
+    the first family with that few; otherwise both are None.
     """
 
     holds: bool
     counterexample: CoverFreeQuery | None = None
     witness_count: int | None = None
+    min_family: CoverFreeQuery | None = None
 
 
 def row_satisfies(row: Sequence[int], query: CoverFreeQuery) -> bool:
@@ -93,42 +96,47 @@ def _check_query_shape(matrix: BitMatrix, s: int, ell: int) -> None:
             f"need s + ell <= {matrix.num_cols} columns, got {s} + {ell}")
 
 
-def _scan_block(ones: list[int], full: int, t: int,
-                neg_list: list[tuple[int, ...]], start: int, stop: int,
-                pos_positions: list[tuple[int, ...]]) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
-    """Scan negative families neg_list[start:stop] against every positive
-    family; return (global pair index, neg, pos) of the first failure."""
-    per_neg = len(pos_positions)
-    ell = len(pos_positions[0])
-    for si in range(start, stop):
-        neg = neg_list[si]
+def _negatives(cols: list[int], num_rows: int,
+               s: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
+    """Per negative family in colex order: the family, the other columns'
+    positions, and the rows that are 0 on every negative column."""
+    full = (1 << num_rows) - 1
+    for neg in colex_subsets(s, len(cols)):
         base = full
         for j in neg:
-            base &= full ^ ones[j - 1]
-        negset = set(neg)
-        comp = [c for c in range(1, t + 1) if c not in negset]
-        cones = [ones[c - 1] for c in comp]
-        # Unrolled inner loops for the common family sizes.
-        if ell == 1:
-            for li, (p0,) in enumerate(pos_positions):
-                if not base & cones[p0]:
-                    return si * per_neg + li, neg, (comp[p0],)
-        elif ell == 2:
-            for li, (p0, p1) in enumerate(pos_positions):
-                if not base & cones[p0] & cones[p1]:
-                    return si * per_neg + li, neg, (comp[p0], comp[p1])
-        elif ell == 3:
-            for li, (p0, p1, p2) in enumerate(pos_positions):
-                if not base & cones[p0] & cones[p1] & cones[p2]:
-                    return si * per_neg + li, neg, (comp[p0], comp[p1], comp[p2])
+            base &= ~cols[j - 1]
+        yield neg, [c for c in range(1, len(cols) + 1) if c not in neg], base
+
+
+def _first_least(masks: list[int], prefix: int, size: int, hi: int, bound: int,
+                 chosen: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """(count, positions) of the first family, in colex order, that adds
+    ``size`` positions below ``hi`` to ``chosen`` and whose AND of masks with
+    ``prefix`` has the fewest bits, fewer than ``bound``; None if there is
+    none. The AND is taken along the prefix, largest position first, so a
+    zero prefix settles its colex-first completion at once. ``bound == 1``
+    asks only for a zero."""
+    if size == 1:
+        window = masks[:hi]
+        if bound == 1:
+            least = 1 if all(map(prefix.__and__, window)) else 0
         else:
-            for li, ptuple in enumerate(pos_positions):
-                m = base
-                for p in ptuple:
-                    m &= cones[p]
-                if not m:
-                    return si * per_neg + li, neg, tuple(comp[p] for p in ptuple)
-    return None
+            least = min(map(int.bit_count, map(prefix.__and__, window)))
+        if least >= bound:
+            return None
+        p = next(i for i, m in enumerate(window) if (prefix & m).bit_count() == least)
+        return least, (p,) + chosen
+    found = None
+    for p in range(size - 1, hi):
+        q = prefix & masks[p]
+        if not q:
+            return 0, tuple(range(size - 1)) + (p,) + chosen
+        hit = _first_least(masks, q, size - 1, p, bound, (p,) + chosen)
+        if hit is not None:
+            found, bound = hit, hit[0]
+            if not bound:
+                break
+    return found
 
 
 def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
@@ -138,68 +146,74 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
 
     Families are enumerated in colex order of the negative family, then colex
     order of the positive family within the remaining columns, so a failing
-    verdict always carries the first failing family in that order. ``threads``
-    splits the negative-family space into contiguous blocks; the verdict is
-    identical for every thread count. ``count_witnesses`` disables early exit
-    and fills in witness multiplicity (that mode runs single-threaded).
+    verdict always carries the first failing family in that order.
+    ``count_witnesses`` also finds the least witness multiplicity and the
+    first family with it; a zero still ends the scan. ``threads`` is
+    accepted and has no effect: the scan's big ints hold the interpreter lock.
     """
     _check_query_shape(matrix, s, ell)
-    if count_witnesses:
-        first_fail: CoverFreeQuery | None = None
-        last_count = 0
-        for query, count in witness_counts(matrix, s, ell):
-            if count == 0 and first_fail is None:
-                first_fail = query
-            last_count = count
-        if first_fail is not None:
-            return Verdict(False, first_fail, 0)
-        return Verdict(True, None, last_count)
-
-    t = matrix.num_cols
-    ones = [matrix.column_int(j) for j in range(t)]
-    full = (1 << matrix.num_rows) - 1
-    neg_list = list(colex_subsets(s, t))
-    pos_positions = [tuple(p - 1 for p in tup) for tup in colex_subsets(ell, t - s)]
-
-    workers = max(1, min(int(threads), len(neg_list)))
-    if workers == 1:
-        failure = _scan_block(ones, full, t, neg_list, 0, len(neg_list), pos_positions)
-    else:
-        step = -(-len(neg_list) // workers)
-        blocks = [(i, min(i + step, len(neg_list))) for i in range(0, len(neg_list), step)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda block: _scan_block(ones, full, t, neg_list, block[0], block[1], pos_positions),
-                blocks))
-        failures = [f for f in results if f is not None]
-        failure = min(failures, key=lambda f: f[0]) if failures else None
-
-    if failure is None:
-        return Verdict(True, None, None)
-    _, neg, pos = failure
-    return Verdict(False, CoverFreeQuery(neg, pos), 0)
+    cols = matrix.columns()
+    bound = matrix.num_rows + 1 if count_witnesses else 1
+    least: CoverFreeQuery | None = None
+    for neg, rest, base in _negatives(cols, matrix.num_rows, s):
+        if not base:
+            hit = 0, tuple(range(ell))
+        elif ell == 1:
+            # Each column is ANDed once; cutting it first would cost as much.
+            hit = _first_least([cols[c - 1] for c in rest], base, 1, len(rest), bound, ())
+        else:
+            # Each column is ANDed many times: cut it to the candidate rows.
+            low = (base & -base).bit_length() - 1
+            masks = [(cols[c - 1] & base) >> low for c in rest]
+            hit = _first_least(masks, base >> low, ell, len(rest), bound, ())
+        if hit is not None:
+            bound, positions = hit
+            least = CoverFreeQuery(neg, tuple(rest[p] for p in positions))
+            if not bound:
+                return Verdict(False, least, 0, least)
+    return Verdict(True, None, bound if count_witnesses else None, least)
 
 
 def witness_counts(matrix: BitMatrix, s: int, ell: int) -> Iterator[tuple[CoverFreeQuery, int]]:
     """Yield every disjoint (s, ell) column family with its witness-row count,
     in verifier enumeration order."""
     _check_query_shape(matrix, s, ell)
-    t = matrix.num_cols
-    ones = [matrix.column_int(j) for j in range(t)]
-    full = (1 << matrix.num_rows) - 1
-    pos_positions = [tuple(p - 1 for p in tup) for tup in colex_subsets(ell, t - s)]
-    for neg in colex_subsets(s, t):
-        base = full
-        for j in neg:
-            base &= full ^ ones[j - 1]
-        negset = set(neg)
-        comp = [c for c in range(1, t + 1) if c not in negset]
-        cones = [ones[c - 1] for c in comp]
-        for ptuple in pos_positions:
-            m = base
-            for p in ptuple:
-                m &= cones[p]
-            yield CoverFreeQuery(neg, tuple(comp[p] for p in ptuple)), m.bit_count()
+    cols = matrix.columns()
+    for neg, rest, base in _negatives(cols, matrix.num_rows, s):
+        for positions in colex_subsets(ell, len(rest)):
+            pos = tuple(rest[p - 1] for p in positions)
+            rows = functools.reduce(int.__and__, (cols[c - 1] for c in pos), base)
+            yield CoverFreeQuery(neg, pos), rows.bit_count()
+
+
+def _meeting_subsets(pool: Sequence[int], size: int, targets: list[int], *,
+                     from_end: bool = False) -> Iterator[tuple[int, ...]]:
+    """Yield the ``size``-subsets of ``pool`` that meet every target (a
+    bitmask of elements), as tuples in pool order, lexicographic in pool
+    positions; ``from_end`` tries each choice from the far end instead, which
+    over the pool ``n, ..., 1`` gives colex order. A branch is cut once an
+    unmet target has no element left in the rest of the pool, or, with one
+    choice left, no single element there meets all unmet targets."""
+    after = [0] * (len(pool) + 1)
+    for i in range(len(pool) - 1, -1, -1):
+        after[i] = after[i + 1] | 1 << pool[i]
+
+    def extend(start: int, left: int, unmet: list[int],
+               chosen: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        options = range(start, len(pool) - left + 1)
+        for i in reversed(options) if from_end else options:
+            bit = 1 << pool[i]
+            rest = [m for m in unmet if not m & bit]
+            if left == 1:
+                if not rest:
+                    yield chosen + (pool[i],)
+                continue
+            tail = after[i + 1]
+            if (functools.reduce(int.__and__, rest, tail) if left == 2
+                    else all(m & tail for m in rest)):
+                yield from extend(i + 1, left - 1, rest, chosen + (pool[i],))
+
+    return extend(0, size, targets, ())
 
 
 def witness_row(params: CodeParams, neg_cols: Sequence[KSubset],
@@ -213,15 +227,15 @@ def witness_row(params: CodeParams, neg_cols: Sequence[KSubset],
     least ell subsets escape, and the construction follows that condition:
     for each positive column, its first escaping subset in increasing element
     order (columns may share one); then further escaping subsets of [n] in
-    colex order until the label has ell members. The result is deterministic,
-    and the padding scan visits at most C(n, s) subsets. WitnessSearchError
-    means the condition fails, so no witness row exists at all.
+    colex order until the label has ell members. Both searches build only
+    escaping subsets, which are those meeting every negative column's
+    complement. The result is deterministic. WitnessSearchError means the
+    condition fails, so no witness row exists at all.
     """
     validate(params)
-    for col in itertools.chain(neg_cols, pos_cols):
-        _require_column(params, col)
     seen: set[tuple[int, ...]] = set()
     for col in itertools.chain(neg_cols, pos_cols):
+        _require_column(params, col)
         if col.elements in seen:
             raise ValueError(f"columns must be pairwise distinct, {col} repeats")
         seen.add(col.elements)
@@ -232,23 +246,22 @@ def witness_row(params: CodeParams, neg_cols: Sequence[KSubset],
             f"need exactly ell={params.ell} positive columns, got {len(pos_cols)}")
 
     s, ell = params.s, params.ell
-    neg_sets = [frozenset(col.elements) for col in neg_cols]
-
-    def escapes(sub: tuple[int, ...]) -> bool:
-        return not any(ns.issuperset(sub) for ns in neg_sets)
+    everything = (1 << (params.n + 1)) - 2
+    complements = [everything & ~sum(1 << e for e in col.elements) for col in neg_cols]
 
     # Insertion-ordered set of chosen members.
     members: dict[tuple[int, ...], None] = {}
     for col in pos_cols:
-        cand = next((c for c in itertools.combinations(col.elements, s) if escapes(c)), None)
+        cand = next(_meeting_subsets(col.elements, s, complements), None)
         if cand is None:
             raise WitnessSearchError(
                 f"no witness row exists for the given column families: "
                 f"positive column {col} holds no s-subset that lies in no negative column")
         members[cand] = None
     if len(members) < ell:
-        for sub in colex_subsets(s, params.n):
-            if sub not in members and escapes(sub):
+        for sub in _meeting_subsets(range(params.n, 0, -1), s, complements, from_end=True):
+            sub = sub[::-1]
+            if sub not in members:
                 members[sub] = None
                 if len(members) == ell:
                     break

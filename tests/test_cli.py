@@ -7,6 +7,7 @@ import pytest
 from cfcode.cli import main
 from cfcode.code_core import CodeParams, materialize
 from cfcode.matrix_io import read_matrix
+from cfcode.verification import witness_counts
 
 
 def run(capsys, *argv):
@@ -150,6 +151,22 @@ class TestVerify:
                            "--s", "2", "--l", "2", "--count-witnesses")
         assert code == 0
         assert "min witnesses" in out
+
+    def test_count_witnesses_reports_the_minimum(self, capsys, generated):
+        matrix, _ = read_matrix(generated)
+        counts = list(witness_counts(matrix, 2, 2))
+        least = min(c for _, c in counts)
+        first = next(q for q, c in counts if c == least)
+        code, out, _ = run(capsys, "verify", str(generated), "--s", "2", "--l", "2",
+                           "--count-witnesses", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["witness_count"] == payload["min_witnesses"] == least
+        code, out, _ = run(capsys, "verify", str(generated), "--s", "2", "--l", "2",
+                           "--count-witnesses")
+        assert out.splitlines()[1] == (
+            f"min witnesses {least} at neg {{{','.join(map(str, first.neg_cols))}}} "
+            f"pos {{{','.join(map(str, first.pos_cols))}}}")
 
 
 class TestEntry:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import warnings
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from cfcode.combinatorics import KSubset, binomial
 from cfcode.code_core import (
+    TRANSPOSE_BLOCK_ROWS,
     BitMatrix,
     BudgetError,
     CodeParams,
@@ -277,6 +279,17 @@ class TestBitMatrix:
         assert m.column_int(0) == 0b101
         assert m.column_int(1) == 0b110
         assert m.column_sums() == [2, 2]
+
+    def test_columns_match_column_int(self):
+        rng = random.Random(3)
+        sizes = [(0, 4), (1, 1), (5, 3), (TRANSPOSE_BLOCK_ROWS, 7),
+                 (2 * TRANSPOSE_BLOCK_ROWS + 5, 11), (TRANSPOSE_BLOCK_ROWS + 1, 70)]
+        for num_rows, num_cols in sizes:
+            m = BitMatrix(num_rows, num_cols,
+                          [rng.getrandbits(num_cols) for _ in range(num_rows)])
+            assert m.columns() == [m.column_int(j) for j in range(num_cols)]
+            assert m.column_sums() == [
+                sum(r >> j & 1 for r in m.rows) for j in range(num_cols)]
 
     def test_rejects_wide_rows(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 import warnings
 
 import pytest
@@ -140,12 +141,89 @@ class TestVerifyCoverFree:
         m = materialize(CodeParams(5, 3, 2, 2))
         verdict = verify_cover_free(m, 2, 2, count_witnesses=True)
         assert verdict.holds
-        assert verdict.witness_count > 0
+        counts = list(witness_counts(m, 2, 2))
+        least = min(count for _, count in counts)
+        assert verdict.witness_count == least > 0
+        assert verdict.min_family == next(q for q, c in counts if c == least)
+        assert verify_cover_free(m, 2, 2).witness_count is None
         bad = BitMatrix(2, 3, [0b111, 0b111])
         verdict = verify_cover_free(bad, 1, 1, count_witnesses=True)
         assert not verdict.holds
         assert verdict.counterexample == CoverFreeQuery((1,), (2,))
         assert verdict.witness_count == 0
+
+
+def brute_force_summary(rows, t, s, ell):
+    """From plain row ints (bit j = column j), in verifier order: the first
+    (neg, pos) family with no witness row or None, the least witness-row
+    count, and the first family with that count."""
+    first_fail, least, least_family = None, None, None
+    for neg in colex_sorted(itertools.combinations(range(1, t + 1), s)):
+        rest = [c for c in range(1, t + 1) if c not in neg]
+        for pos in colex_sorted(itertools.combinations(rest, ell)):
+            count = sum(1 for r in rows
+                        if not any(r >> (c - 1) & 1 for c in neg)
+                        and all(r >> (c - 1) & 1 for c in pos))
+            if count == 0 and first_fail is None:
+                first_fail = (neg, pos)
+            if least is None or count < least:
+                least, least_family = count, (neg, pos)
+    return first_fail, least, least_family
+
+
+def _as_pair(query):
+    return None if query is None else (query.neg_cols, query.pos_cols)
+
+
+class TestKernelAgainstBruteForce:
+    @staticmethod
+    def _matrices():
+        rng = random.Random(2024)
+        for trial in range(160):
+            num_rows = 0 if trial % 16 == 0 else rng.randrange(1, 13)
+            num_cols = rng.randrange(2, 9)
+            density = rng.choice((0.3, 0.5, 0.7, 0.9))
+            rows = [sum(1 << j for j in range(num_cols) if rng.random() < density)
+                    for _ in range(num_rows)]
+            if trial % 5 == 0:
+                # Column 1 is set on every row, so every negative family
+                # holding it leaves no candidate rows at all.
+                rows = [r | 1 for r in rows]
+            yield BitMatrix(num_rows, num_cols, rows)
+        # Random matrices rarely satisfy the property; these codes do for
+        # small (s, ell), with many families tied at the least count.
+        for params in (CodeParams(4, 2, 1, 1), CodeParams(5, 3, 2, 1),
+                       CodeParams(5, 3, 2, 2), CodeParams(5, 2, 1, 2)):
+            yield materialize(params)
+
+    def test_verdicts_counterexamples_and_minima(self):
+        checked = empty_base = 0
+        for m in self._matrices():
+            for s in (1, 2, 3):
+                for ell in (1, 2, 3):
+                    if s + ell > m.num_cols:
+                        continue
+                    first_fail, least, least_family = brute_force_summary(
+                        m.rows, m.num_cols, s, ell)
+                    plain = verify_cover_free(m, s, ell)
+                    assert plain.holds == (first_fail is None)
+                    assert _as_pair(plain.counterexample) == first_fail
+                    counted = verify_cover_free(m, s, ell, count_witnesses=True)
+                    assert counted.holds == plain.holds
+                    assert _as_pair(counted.counterexample) == first_fail
+                    assert counted.witness_count == least
+                    assert _as_pair(counted.min_family) == least_family
+                    checked += 1
+                    empty_base += bool(m.rows) and all(r & 1 for r in m.rows)
+        assert checked > 500 and empty_base > 50
+
+    def test_zero_rows_fail_at_first_family(self):
+        m = BitMatrix(0, 5, [])
+        verdict = verify_cover_free(m, 2, 3, count_witnesses=True)
+        assert not verdict.holds
+        assert verdict.counterexample == CoverFreeQuery((1, 2), (3, 4, 5))
+        assert verdict.witness_count == 0
+        assert verdict.min_family == verdict.counterexample
 
 
 class TestWitnessCounts:
@@ -215,6 +293,25 @@ class TestWitnessRow:
         assert all(entry(self.params, label, col) == 1 for col in pos)
         assert all(entry(self.params, label, col) == 0 for col in neg)
         assert [m.elements for m in label] == [(1, 2), (1, 5)]
+
+    def test_padding_skips_to_the_escaping_subsets(self):
+        # Escaping 3-subsets must hold both 199 and 200, the last elements in
+        # colex order; the padding walk goes straight to them.
+        n = 200
+        params = CodeParams(n, n - 1, 3, 3)
+
+        def missing(e):
+            return KSubset(tuple(x for x in range(1, n + 1) if x != e), n)
+
+        neg = [missing(199), missing(200)]
+        pos = [missing(1), missing(2), missing(3)]
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            label = witness_row(params, neg, pos)
+            best = min(best, time.perf_counter() - start)
+        assert str(label) == "{1,199,200},{2,199,200},{3,199,200}"
+        assert best < 0.05
 
     def test_no_witness_surfaces_loudly(self):
         # With k = n - 1 and two members per row, only one subset can escape
