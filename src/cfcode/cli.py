@@ -10,6 +10,7 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -236,9 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Parsing never mutates the parser, so main builds it once per process.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

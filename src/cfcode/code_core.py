@@ -78,15 +78,19 @@ def validate(params: CodeParams) -> CodeParams:
         raise ParameterError("k < n", f"need k < n, got k={k}, n={n}")
     if ell < 1:
         raise ParameterError("ell >= 1", f"need ell >= 1, got ell={ell}")
-    t = binomial(n, k)
-    if ell + s > t:
-        raise ParameterError(
-            "ell + s <= C(n,k)",
-            f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
+    # 0 < k < n gives C(n,k) >= n, so only ell + s >= n can reach the column count.
+    at_edge = False
+    if ell + s >= n:
+        t = binomial(n, k)
+        if ell + s > t:
+            raise ParameterError(
+                "ell + s <= C(n,k)",
+                f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
+        at_edge = ell + s == t
     if ell == 1:
         warnings.warn(ParameterWarning(
             f"ell=1 is the degenerate single-subset case for {params}"), stacklevel=2)
-    elif ell + s == t:
+    elif at_edge:
         warnings.warn(ParameterWarning(
             f"ell + s equals the column count C({n},{k})={t}; "
             f"{params} sits at the edge of the usable range"), stacklevel=2)

@@ -7,43 +7,21 @@ values are Python ints, so nothing here overflows or rounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-# Pascal rows 0..PASCAL_LIMIT are built once at import and never mutated
-# afterwards, so lookups are safe from any thread. Above the limit the
-# multiplicative formula takes over.
-PASCAL_LIMIT = 128
-
-
-def _pascal_rows(limit: int) -> list[tuple[int, ...]]:
-    rows: list[tuple[int, ...]] = [(1,)]
-    for n in range(1, limit + 1):
-        prev = rows[-1]
-        row = [1] * (n + 1)
-        for k in range(1, n):
-            row[k] = prev[k - 1] + prev[k]
-        rows.append(tuple(row))
-    return rows
-
-
-_PASCAL = _pascal_rows(PASCAL_LIMIT)
+# Steps a rank/unrank level walks by exact binomial ratios before it jumps
+# straight to the target with math.comb: dense shapes move a step or two per
+# level, sparse ones (a few elements of a huge ground set) move far.
+WALK_STEPS = 32
 
 
 def binomial(n: int, k: int) -> int:
     """Return C(n, k) exactly; 0 when k > n, 1 when k == 0."""
     if n < 0 or k < 0:
         raise ValueError(f"binomial expects nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        return 0
-    if n <= PASCAL_LIMIT:
-        return _PASCAL[n][k]
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        # Exact at every step: any i consecutive integers contain a multiple of i.
-        result = result * (n - k + i) // i
-    return result
+    return math.comb(n, k)
 
 
 @dataclass(frozen=True)
@@ -86,31 +64,83 @@ def colex_rank(subset: KSubset) -> int:
     """0-based colex rank of the subset among all subsets of its size.
 
     With elements c_1 < ... < c_m the rank is the sum of C(c_i - 1, i); it does
-    not depend on the ground size.
+    not depend on the ground size. The terms with c_i = i are zero and form a
+    prefix (c_i = i forces c_1..c_i = 1..i), so the sum starts after it. Each
+    later term comes from the one before by exact ratios: a diagonal step
+    C(x+1, i+1) = C(x, i)(x+1)/(i+1), then steps C(y+1, i) = C(y, i)(y+1)/(y+1-i)
+    up to y = c_i - 1, or math.comb when that gap exceeds WALK_STEPS.
     """
-    return sum(binomial(c - 1, i) for i, c in enumerate(subset.elements, start=1))
+    elements = subset.elements
+    i = 0
+    while i < len(elements) and elements[i] == i + 1:
+        i += 1
+    if i == len(elements):
+        return 0
+    i += 1
+    x = elements[i - 1] - 1
+    term = math.comb(x, i)
+    rank = term
+    for c in elements[i:]:
+        x += 1
+        i += 1
+        term = term * x // i
+        if c - 1 - x > WALK_STEPS:
+            x = c - 1
+            term = math.comb(x, i)
+        else:
+            while x < c - 1:
+                x += 1
+                term = term * x // (x - i)
+        rank += term
+    return rank
+
+
+def _last_fitting(r: int, i: int, hi: int) -> int:
+    """Largest c in [i, hi] with C(c - 1, i) <= r, by bisection."""
+    lo = i
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if math.comb(mid - 1, i) <= r:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 def colex_unrank(rank: int, m: int, n: int) -> KSubset:
-    """The unique m-subset of [n] whose colex rank is ``rank``."""
+    """The unique m-subset of [n] whose colex rank is ``rank``.
+
+    Level i, from m down to 1, takes the largest c below the previous element
+    with C(c - 1, i) <= the remaining rank. It walks down from the previous
+    element minus one (from n at level m), carrying b = C(c - 1, i) by exact ratios: from the
+    level above as C(c-2, i-1) = C(c-1, i)·i/(c-1), and within the level as
+    C(c-2, i) = C(c-1, i)·(c-1-i)/(c-1). A level not settled after WALK_STEPS
+    steps bisects the rest with math.comb. Dense shapes such as (1000, 500)
+    take about n walk steps in all; sparse ones bisect.
+    """
     total = binomial(n, m)
     if not 0 <= rank < total:
         raise ValueError(f"rank {rank} outside [0, C({n},{m})) = [0, {total})")
+    if m == 0:
+        return KSubset((), n)
     elements = [0] * m
     r = rank
-    hi = n
+    c = n
+    b = total * (n - m) // n  # C(n - 1, m)
     for i in range(m, 0, -1):
-        # Largest c in [i, hi] with C(c - 1, i) <= r, by binary search.
-        lo = i
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if binomial(mid - 1, i) <= r:
-                lo = mid
-            else:
-                hi = mid - 1
-        elements[i - 1] = lo
-        r -= binomial(lo - 1, i)
-        hi = lo - 1
+        for _ in range(WALK_STEPS):
+            if b <= r:
+                break
+            b = b * (c - 1 - i) // (c - 1)
+            c -= 1
+        if b > r:
+            c = _last_fitting(r, i, c - 1)
+            b = math.comb(c - 1, i)
+        elements[i - 1] = c
+        r -= b
+        if i > 1:
+            b = b * i // (c - 1)
+            c -= 1
     return KSubset(tuple(elements), n)
 
 

@@ -1,11 +1,22 @@
 import itertools
 import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfcode.combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_unrank
+from cfcode import combinatorics
+from cfcode.code_core import CodeParams, column_from_rank, column_rank
+from cfcode.combinatorics import (
+    WALK_STEPS,
+    KSubset,
+    binomial,
+    colex_rank,
+    colex_subsets,
+    colex_unrank,
+)
 
 
 def colex_sorted(iterable):
@@ -144,3 +155,102 @@ class TestColexSubsets:
             for m in range(0, n + 1):
                 expected = [colex_unrank(r, m, n).elements for r in range(binomial(n, m))]
                 assert list(colex_subsets(m, n)) == expected
+
+
+def oracle_rank(elements):
+    """Colex rank straight from its definition, one math.comb per element."""
+    return sum(math.comb(c - 1, i) for i, c in enumerate(elements, start=1))
+
+
+def sample_ranks(n, m, count=6):
+    total = math.comb(n, m)
+    rng = random.Random(n * 1009 + m)
+    return sorted({0, min(1, total - 1), total - 1, *(rng.randrange(total) for _ in range(count))})
+
+
+class TestLargeShapes:
+    @pytest.mark.parametrize("n,m", [(1000, 500), (200, 100), (60, 58), (499500, 3), (499500, 2)])
+    def test_unrank_then_rank(self, n, m):
+        for r in sample_ranks(n, m):
+            subset = colex_unrank(r, m, n)
+            assert len(subset) == m
+            assert subset.ground_size == n
+            assert oracle_rank(subset.elements) == r
+            assert colex_rank(subset) == r
+
+    @pytest.mark.parametrize("n,m", [(1000, 500), (200, 100), (499500, 3)])
+    def test_rank_then_unrank(self, n, m):
+        rng = random.Random(n + m)
+        for _ in range(5):
+            subset = KSubset.from_elements(rng.sample(range(1, n + 1), m), n)
+            r = colex_rank(subset)
+            assert r == oracle_rank(subset.elements)
+            assert colex_unrank(r, m, n) == subset
+
+    def test_zero_prefix(self):
+        # c_i = i for the first three elements: those terms are zero.
+        subset = KSubset((1, 2, 3, 50, 51, 300), 300)
+        assert colex_rank(subset) == oracle_rank(subset.elements)
+        assert colex_unrank(colex_rank(subset), 6, 300) == subset
+        assert colex_rank(KSubset(tuple(range(1, 9)), 9)) == 0
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_matches_oracle_random(self, data):
+        n = data.draw(st.integers(1, 2000))
+        m = data.draw(st.integers(0, min(n, 50)))
+        elements = data.draw(st.sets(st.integers(1, n), min_size=m, max_size=m))
+        subset = KSubset.from_elements(elements, n)
+        r = colex_rank(subset)
+        assert r == oracle_rank(subset.elements)
+        assert colex_unrank(r, m, n) == subset
+
+
+class TestWalkLimit:
+    """A level settles by ratio steps for gaps up to WALK_STEPS and bisects
+    beyond it; both paths must give the same subsets."""
+
+    N = 200
+
+    def shapes(self, gap):
+        n = self.N
+        # The top level walks ``gap`` steps down from n; then the middle one.
+        return [(n - gap - 2, n - gap - 1, n - gap), (n - gap - 2, n - gap - 1, n)]
+
+    @pytest.mark.parametrize("gap,bisections", [(WALK_STEPS, 0), (WALK_STEPS + 1, 1)])
+    def test_walk_then_bisect(self, monkeypatch, gap, bisections):
+        calls = []
+        bisect = combinatorics._last_fitting
+
+        def counting(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(combinatorics, "_last_fitting", counting)
+        for elements in self.shapes(gap):
+            calls.clear()
+            r = oracle_rank(elements)
+            assert colex_rank(KSubset(elements, self.N)) == r
+            assert colex_unrank(r, 3, self.N).elements == elements
+            assert len(calls) == bisections
+
+
+def best_of_3(fn):
+    best = float("inf")
+    for _ in range(3):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+class TestLargeShapeSpeed:
+    PARAMS = CodeParams(1000, 500, 2, 3)
+
+    def test_column_from_rank(self):
+        r = sample_ranks(1000, 500)[3]
+        assert best_of_3(lambda: column_from_rank(self.PARAMS, r)) < 0.025
+
+    def test_column_rank(self):
+        col = colex_unrank(sample_ranks(1000, 500)[3], 500, 1000)
+        assert best_of_3(lambda: column_rank(self.PARAMS, col)) < 0.025
