@@ -33,7 +33,6 @@ from .code_core import (
     materialize,
     row_label_from_rank,
     row_rank_from_label,
-    validate,
 )
 from .matrix_io import MatrixFormatError, read_matrix, write_matrix
 from .verification import WitnessSearchError, verify_cover_free, witness_row
@@ -140,7 +139,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_entry(args: argparse.Namespace) -> int:
-    params = validate(CodeParams(args.n, args.k, args.s, args.l))
+    params = CodeParams(args.n, args.k, args.s, args.l)
     if args.row is not None:
         row = RowLabel(tuple(_parse_family(args.row, params.n)))
         row_rank = row_rank_from_label(params, row)
@@ -164,7 +163,7 @@ def _cmd_entry(args: argparse.Namespace) -> int:
 
 
 def _cmd_witness(args: argparse.Namespace) -> int:
-    params = validate(CodeParams(args.n, args.k, args.s, args.l))
+    params = CodeParams(args.n, args.k, args.s, args.l)
     neg = _parse_family(args.neg, params.n)
     pos = _parse_family(args.pos, params.n)
     label = witness_row(params, neg, pos)
@@ -247,12 +246,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = args.func(args)
-        seen = set()
         for w in caught:
-            text = str(w.message)
-            if text not in seen:
-                seen.add(text)
-                print(f"warning: {text}", file=sys.stderr)
+            print(f"warning: {w.message}", file=sys.stderr)
         return code
     except ParameterError as exc:
         print(f"error: violated constraint {exc.constraint}: {exc}", file=sys.stderr)

@@ -43,12 +43,48 @@ class BudgetError(RuntimeError):
 
 @dataclass(frozen=True)
 class CodeParams:
-    """The quadruple (n, k, s, ell) defining one code instance."""
+    """The quadruple (n, k, s, ell) defining one code instance, checked once
+    on construction, so an invalid instance cannot exist.
+
+    Raises ParameterError naming the violated constraint. Emits a
+    ParameterWarning, attributed to the line that builds the params, for
+    tuple lengths at the degenerate edges (ell = 1, or ell + s equal to the
+    column count), which are accepted but weaker than the construction is
+    designed for.
+    """
 
     n: int
     k: int
     s: int
     ell: int
+
+    def __post_init__(self) -> None:
+        n, k, s, ell = self.n, self.k, self.s, self.ell
+        if s < 1:
+            raise ParameterError("s >= 1", f"need s >= 1, got s={s}")
+        if not s < k:
+            raise ParameterError("s < k", f"need s < k, got s={s}, k={k}")
+        if not k < n:
+            raise ParameterError("k < n", f"need k < n, got k={k}, n={n}")
+        if ell < 1:
+            raise ParameterError("ell >= 1", f"need ell >= 1, got ell={ell}")
+        # 0 < k < n gives C(n,k) >= n, so only ell + s >= n can reach the column count.
+        at_edge = False
+        if ell + s >= n:
+            t = binomial(n, k)
+            if ell + s > t:
+                raise ParameterError(
+                    "ell + s <= C(n,k)",
+                    f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
+            at_edge = ell + s == t
+        # stacklevel 3 skips the generated __init__ to the caller's line.
+        if ell == 1:
+            warnings.warn(ParameterWarning(
+                f"ell=1 is the degenerate single-subset case for {self}"), stacklevel=3)
+        elif at_edge:
+            warnings.warn(ParameterWarning(
+                f"ell + s equals the column count C({n},{k})={t}; "
+                f"{self} sits at the edge of the usable range"), stacklevel=3)
 
 
 @dataclass(frozen=True)
@@ -62,38 +98,7 @@ class CodeDimensions:
 
 
 def validate(params: CodeParams) -> CodeParams:
-    """Check parameter invariants; return params unchanged when they hold.
-
-    Raises ParameterError naming the violated constraint. Emits a
-    ParameterWarning for tuple lengths at the degenerate edges (ell = 1, or
-    ell + s equal to the column count), which are accepted but weaker than
-    the construction is designed for.
-    """
-    n, k, s, ell = params.n, params.k, params.s, params.ell
-    if s < 1:
-        raise ParameterError("s >= 1", f"need s >= 1, got s={s}")
-    if not s < k:
-        raise ParameterError("s < k", f"need s < k, got s={s}, k={k}")
-    if not k < n:
-        raise ParameterError("k < n", f"need k < n, got k={k}, n={n}")
-    if ell < 1:
-        raise ParameterError("ell >= 1", f"need ell >= 1, got ell={ell}")
-    # 0 < k < n gives C(n,k) >= n, so only ell + s >= n can reach the column count.
-    at_edge = False
-    if ell + s >= n:
-        t = binomial(n, k)
-        if ell + s > t:
-            raise ParameterError(
-                "ell + s <= C(n,k)",
-                f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
-        at_edge = ell + s == t
-    if ell == 1:
-        warnings.warn(ParameterWarning(
-            f"ell=1 is the degenerate single-subset case for {params}"), stacklevel=2)
-    elif at_edge:
-        warnings.warn(ParameterWarning(
-            f"ell + s equals the column count C({n},{k})={t}; "
-            f"{params} sits at the edge of the usable range"), stacklevel=2)
+    """Return params unchanged: a CodeParams is checked when it is built."""
     return params
 
 
@@ -240,7 +245,6 @@ def _require_row_label(params: CodeParams, row: RowLabel) -> None:
 
 def entry(params: CodeParams, row: RowLabel, col: KSubset) -> int:
     """The defining rule: 1 iff at least one row subset is contained in col."""
-    validate(params)
     _require_column(params, col)
     _require_row_label(params, row)
     colset = set(col.elements)
@@ -254,13 +258,10 @@ def row_label_from_rank(params: CodeParams, rank: int) -> RowLabel:
     """Decode a 0-based row rank into its label.
 
     Two-level unranking: the rank picks an ell-subset of s-subset indices in
-    colex order, and each index unranks to an s-subset of [n].
+    colex order, and each index unranks to an s-subset of [n]. A rank out of
+    range raises ValueError from colex_unrank.
     """
-    validate(params)
     m = binomial(params.n, params.s)
-    total = binomial(m, params.ell)
-    if not 0 <= rank < total:
-        raise ValueError(f"row rank {rank} outside [0, {total})")
     indices = colex_unrank(rank, params.ell, m)
     members = tuple(colex_unrank(e - 1, params.s, params.n) for e in indices.elements)
     return RowLabel(members)
@@ -268,7 +269,6 @@ def row_label_from_rank(params: CodeParams, rank: int) -> RowLabel:
 
 def row_rank_from_label(params: CodeParams, row: RowLabel) -> int:
     """Inverse of row_label_from_rank."""
-    validate(params)
     _require_row_label(params, row)
     m = binomial(params.n, params.s)
     index_subset = KSubset(tuple(colex_rank(member) + 1 for member in row.subsets), m)
@@ -276,17 +276,13 @@ def row_rank_from_label(params: CodeParams, row: RowLabel) -> int:
 
 
 def column_from_rank(params: CodeParams, rank: int) -> KSubset:
-    """Decode a 0-based column rank into its k-subset."""
-    validate(params)
-    total = binomial(params.n, params.k)
-    if not 0 <= rank < total:
-        raise ValueError(f"column rank {rank} outside [0, {total})")
+    """Decode a 0-based column rank into its k-subset; a rank out of range
+    raises ValueError from colex_unrank."""
     return colex_unrank(rank, params.k, params.n)
 
 
 def column_rank(params: CodeParams, col: KSubset) -> int:
     """Inverse of column_from_rank."""
-    validate(params)
     _require_column(params, col)
     return colex_rank(col)
 
@@ -307,7 +303,6 @@ def dimensions(params: CodeParams) -> CodeDimensions:
     column, by complement: families drawn entirely from the subsets not
     contained in the column never hit it.
     """
-    validate(params)
     n, k, s, ell = params.n, params.k, params.s, params.ell
     m = binomial(n, s)
     num_rows = binomial(m, ell)
@@ -357,25 +352,21 @@ def materialize(params: CodeParams, row_limit: int | None = None,
 def best_k(n: int, s: int, ell: int) -> tuple[int, int]:
     """The admissible k maximizing the column count, with that count.
 
-    Ties break toward smaller k; C(n, k) is unimodal, so the winner is n//2
-    or (n+1)//2 whenever those are admissible.
+    C(n, k) is unimodal with its first maximum at n//2, so over s < k < n it
+    peaks at k* = max(n//2, s+1), ties going to the smaller k. Some k is
+    admissible iff k* < n and ell + s <= C(n, k*).
     """
     if s < 1:
         raise ParameterError("s >= 1", f"need s >= 1, got s={s}")
     if ell < 1:
         raise ParameterError("ell >= 1", f"need ell >= 1, got ell={ell}")
-    best: tuple[int, int] | None = None
-    for k in range(s + 1, n):
-        t = binomial(n, k)
-        if ell + s > t:
-            continue
-        if best is None or t > best[1]:
-            best = (k, t)
-    if best is None:
+    k = max(n // 2, s + 1)
+    t = binomial(n, k) if k < n else 0
+    if ell + s > t:
         raise ParameterError(
             "admissible k exists",
             f"no k with s < k < n and ell + s <= C(n,k) for n={n}, s={s}, ell={ell}")
-    return best
+    return k, t
 
 
 def asymptotic_estimates(n: int, s: int, ell: int) -> tuple[int, float]:

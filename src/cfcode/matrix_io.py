@@ -49,44 +49,56 @@ def write_matrix(matrix: BitMatrix, path: str | Path,
 def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     """Parse a matrix file; returns the matrix and any provenance parameters.
 
-    Raises MatrixFormatError naming the first offending line.
+    Rows are parsed as the file is read, so only their ints are held.
+    Raises MatrixFormatError naming the first offending line; a data line
+    count that does not match the header is reported at the first data line,
+    ahead of any malformed row.
     """
-    raw = Path(path).read_text(encoding="ascii")
-    if not raw.endswith("\n"):
-        raise MatrixFormatError("missing final newline", line=raw.count("\n") + 1)
-    lines = raw.split("\n")[:-1]
-    if len(lines) < 2:
-        raise MatrixFormatError("missing header", line=len(lines) + 1)
-    if lines[0] != MAGIC:
-        raise MatrixFormatError(f"expected header {MAGIC!r}, got {lines[0]!r}", line=1)
-    parts = lines[1].split(" ")
-    if len(parts) != 2 or not all(p.isdigit() for p in parts):
-        raise MatrixFormatError(
-            f"expected '<rows> <cols>' in decimal, got {lines[1]!r}", line=2)
-    num_rows, num_cols = int(parts[0]), int(parts[1])
-
-    i = 2
     provenance: dict[str, int] | None = None
-    while i < len(lines) and lines[i].startswith("#"):
-        found = _PROVENANCE.search(lines[i])
-        if found:
-            provenance = {
-                "n": int(found.group(1)),
-                "k": int(found.group(2)),
-                "s": int(found.group(3)),
-                "ell": int(found.group(4)),
-            }
-        i += 1
-
-    data = lines[i:]
-    if len(data) != num_rows:
+    rows: list[int] = []
+    first_data = bad = None
+    number = 0
+    with open(path, encoding="ascii") as fh:
+        for number, line in enumerate(fh, 1):
+            if not line.endswith("\n"):
+                raise MatrixFormatError("missing final newline", line=number)
+            line = line[:-1]
+            if number == 1:
+                if line != MAGIC:
+                    raise MatrixFormatError(
+                        f"expected header {MAGIC!r}, got {line!r}", line=1)
+            elif number == 2:
+                parts = line.split(" ")
+                if len(parts) != 2 or not all(p.isdigit() for p in parts):
+                    raise MatrixFormatError(
+                        f"expected '<rows> <cols>' in decimal, got {line!r}", line=2)
+                num_rows, num_cols = int(parts[0]), int(parts[1])
+            elif first_data is None and line.startswith("#"):
+                found = _PROVENANCE.search(line)
+                if found:
+                    provenance = {
+                        "n": int(found.group(1)),
+                        "k": int(found.group(2)),
+                        "s": int(found.group(3)),
+                        "ell": int(found.group(4)),
+                    }
+            else:
+                first_data = first_data or number
+                if bad is not None:
+                    continue
+                if len(line) != num_cols or line.strip("01"):
+                    bad = MatrixFormatError(
+                        f"expected exactly {num_cols} characters from {{0,1}}, got {line!r}",
+                        line=number)
+                else:
+                    rows.append(int(line[::-1], 2) if line else 0)
+    if number < 2:
+        raise MatrixFormatError("missing header", line=number + 1)
+    found_rows = number + 1 - first_data if first_data else 0
+    if found_rows != num_rows:
         raise MatrixFormatError(
-            f"expected {num_rows} data lines, found {len(data)}", line=i + 1)
-    rows = []
-    for offset, line in enumerate(data):
-        if len(line) != num_cols or line.strip("01"):
-            raise MatrixFormatError(
-                f"expected exactly {num_cols} characters from {{0,1}}, got {line!r}",
-                line=i + offset + 1)
-        rows.append(int(line[::-1], 2) if line else 0)
+            f"expected {num_rows} data lines, found {found_rows}",
+            line=first_data or number + 1)
+    if bad is not None:
+        raise bad
     return BitMatrix(num_rows, num_cols, rows), provenance

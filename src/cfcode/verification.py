@@ -21,7 +21,6 @@ from .code_core import (
     RowLabel,
     _require_column,
     dimensions,
-    validate,
 )
 from .combinatorics import KSubset, colex_subsets
 
@@ -232,7 +231,6 @@ def witness_row(params: CodeParams, neg_cols: Sequence[KSubset],
     complement. The result is deterministic. WitnessSearchError means the
     condition fails, so no witness row exists at all.
     """
-    validate(params)
     seen: set[tuple[int, ...]] = set()
     for col in itertools.chain(neg_cols, pos_cols):
         _require_column(params, col)
@@ -276,7 +274,6 @@ def witness_row(params: CodeParams, neg_cols: Sequence[KSubset],
 def brute_force_column_weight(params: CodeParams, col: KSubset) -> int:
     """Count rows with a 1 in the given column by scanning every row label in
     rank order. Independent of the closed-form weight in dimensions()."""
-    validate(params)
     _require_column(params, col)
     num_rows = dimensions(params).num_rows
     if num_rows > FALLBACK_SCAN_LIMIT:

@@ -48,6 +48,16 @@ class TestParams:
         assert "warning:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("entry", "5", "3", "2", "1", "--row-rank", "0", "--col-rank", "0"),
+    ("witness", "5", "3", "2", "1", "--neg", "{1,2,3};{1,2,4}", "--pos", "{3,4,5}"),
+])
+def test_degenerate_ell_warns_once_per_call(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 0
+    assert err.count("warning:") == 1
+
+
 class TestGen:
     def test_writes_expected_file(self, capsys, tmp_path):
         out_file = tmp_path / "x.txt"
@@ -192,9 +202,10 @@ class TestEntry:
         assert out.splitlines()[0] == "0"
 
     def test_rank_out_of_range_exit_2(self, capsys):
-        code, _, _ = run(capsys, "entry", "5", "3", "2", "2",
-                         "--row-rank", "45", "--col-rank", "0")
+        code, _, err = run(capsys, "entry", "5", "3", "2", "2",
+                           "--row-rank", "45", "--col-rank", "0")
         assert code == 2
+        assert "45" in err and "outside" in err
 
     def test_bad_label_syntax_exit_2(self, capsys):
         code, _, _ = run(capsys, "entry", "5", "3", "2", "2",

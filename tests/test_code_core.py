@@ -27,6 +27,7 @@ from cfcode.code_core import (
     row_rank_from_label,
     validate,
 )
+from cfcode.verification import witness_row
 
 
 @pytest.fixture(autouse=True)
@@ -91,6 +92,35 @@ class TestValidate:
         with warnings.catch_warnings():
             warnings.simplefilter("error", ParameterWarning)
             validate(CodeParams(5, 3, 2, 2))
+
+
+class TestValidateOnce:
+    def test_entry_points_do_not_rewarn(self):
+        params = CodeParams(5, 3, 2, 1)
+        row, col = row_label_from_rank(params, 0), column_from_rank(params, 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ParameterWarning)
+            assert entry(params, row, col) == 1
+            assert row_label_from_rank(params, 3) == RowLabel((KSubset((1, 4), 5),))
+            assert row_rank_from_label(params, row) == 0
+            assert column_from_rank(params, 9) == KSubset((3, 4, 5), 5)
+            assert column_rank(params, col) == 0
+            assert dimensions(params).num_rows == 10
+            witness_row(params, [KSubset((1, 2, 3), 5)], [KSubset((3, 4, 5), 5)])
+
+    @pytest.mark.parametrize("quad", [(5, 3, 2, 1), (5, 4, 2, 3)])
+    def test_warning_names_the_building_line(self, quad):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            CodeParams(*quad)
+        assert len(caught) == 1
+        assert issubclass(caught[0].category, ParameterWarning)
+        assert caught[0].filename == __file__
+
+    def test_invalid_params_cannot_be_built(self):
+        with pytest.raises(ParameterError) as err:
+            CodeParams(4, 3, 2, 3)
+        assert err.value.constraint == "ell + s <= C(n,k)"
 
 
 class TestRowLabel:
@@ -308,15 +338,18 @@ class TestBestK:
             best_k(4, 3, 1)
 
     def test_matches_scan(self):
-        for n in range(4, 12):
-            for s in (1, 2):
-                admissible = [
-                    (binomial(n, k), -k) for k in range(s + 1, n)
-                    if s + 2 <= binomial(n, k)]
-                if not admissible:
-                    continue
-                t, neg_k = max(admissible)
-                assert best_k(n, s, 2) == (-neg_k, t)
+        for n in range(2, 41):
+            for s in range(1, 6):
+                for ell in (1, 2, 3, 50, 10**6):
+                    admissible = [
+                        (binomial(n, k), -k) for k in range(s + 1, n)
+                        if s + ell <= binomial(n, k)]
+                    if not admissible:
+                        with pytest.raises(ParameterError):
+                            best_k(n, s, ell)
+                        continue
+                    t, neg_k = max(admissible)
+                    assert best_k(n, s, ell) == (-neg_k, t)
 
 
 class TestAsymptotics:

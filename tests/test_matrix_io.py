@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 import warnings
 
 import pytest
@@ -44,6 +46,22 @@ def test_comment_lines_skipped(tmp_path):
     parsed, provenance = read_matrix(path)
     assert parsed.rows == [0b01]
     assert provenance == {"n": 9, "k": 4, "s": 2, "ell": 1}
+
+
+def test_read_holds_rows_not_text(tmp_path):
+    # The parsed rows take well under half the file; holding its text does not.
+    rng = random.Random(5)
+    matrix = BitMatrix(2000, 462, [rng.getrandbits(462) for _ in range(2000)])
+    path = tmp_path / "m.txt"
+    write_matrix(matrix, path)
+    tracemalloc.start()
+    try:
+        parsed, _ = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert parsed == matrix
+    assert peak < path.stat().st_size / 2
 
 
 @pytest.mark.parametrize("content,line", [
