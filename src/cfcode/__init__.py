@@ -27,16 +27,12 @@ from .code_core import (
     materialize,
     row_label_from_rank,
     row_rank_from_label,
-    validate,
 )
 from .verification import (
     CoverFreeQuery,
     Verdict,
     WitnessSearchError,
-    brute_force_column_weight,
-    row_satisfies,
     verify_cover_free,
-    witness_counts,
     witness_row,
 )
 from .matrix_io import MatrixFormatError, read_matrix, write_matrix
@@ -60,7 +56,6 @@ __all__ = [
     "asymptotic_estimates",
     "best_k",
     "binomial",
-    "brute_force_column_weight",
     "colex_rank",
     "colex_subsets",
     "colex_unrank",
@@ -72,10 +67,7 @@ __all__ = [
     "read_matrix",
     "row_label_from_rank",
     "row_rank_from_label",
-    "row_satisfies",
-    "validate",
     "verify_cover_free",
-    "witness_counts",
     "witness_row",
     "write_matrix",
 ]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import re
 import sys
 import warnings
@@ -84,13 +85,15 @@ def _cmd_params(args: argparse.Namespace) -> int:
         params = CodeParams(args.n, args.k, args.s, args.l)
         extra = {}
     dims = dimensions(params)
-    _, rows_estimate = asymptotic_estimates(params.n, params.s, params.ell)
+    rows_estimate = asymptotic_estimates(params.n, params.s, params.ell)
     if args.json:
         payload = {
             "n": params.n, "k": params.k, "s": params.s, "l": params.ell,
             "num_rows": dims.num_rows, "num_cols": dims.num_cols,
             "column_weight": dims.column_weight, "rate": dims.rate,
-            "rows_estimate": rows_estimate, **extra,
+            # Strict JSON has no Infinity; an estimate past float range is null.
+            "rows_estimate": rows_estimate if math.isfinite(rows_estimate) else None,
+            **extra,
         }
         print(json.dumps(payload))
     else:

@@ -97,11 +97,6 @@ class CodeDimensions:
     rate: float
 
 
-def validate(params: CodeParams) -> CodeParams:
-    """Return params unchanged: a CodeParams is checked when it is built."""
-    return params
-
-
 @dataclass(frozen=True)
 class RowLabel:
     """An unordered family of equal-size subsets labelling one row.
@@ -123,12 +118,11 @@ class RowLabel:
                 raise ValueError("row label mixes ground set sizes")
             if len(m) != size:
                 raise ValueError("row label mixes subset sizes")
-        order = sorted(range(len(members)), key=lambda i: colex_rank(members[i]))
-        ranked = [colex_rank(members[i]) for i in order]
-        for a, b in zip(ranked, ranked[1:]):
+        ranked = sorted((colex_rank(m), i) for i, m in enumerate(members))
+        for (a, _), (b, _) in zip(ranked, ranked[1:]):
             if a == b:
                 raise ValueError("row label subsets must be pairwise distinct")
-        object.__setattr__(self, "subsets", tuple(members[i] for i in order))
+        object.__setattr__(self, "subsets", tuple(members[i] for _, i in ranked))
 
     def __len__(self) -> int:
         return len(self.subsets)
@@ -176,22 +170,6 @@ class BitMatrix:
             raise ValueError(f"bit must be 0 or 1, got {bit}")
         mask = 1 << j
         self.rows[i] = (self.rows[i] & ~mask) | (bit << j)
-
-    def row_bits(self, i: int) -> list[int]:
-        """Row i as a list of 0/1 ints, column rank order."""
-        if not 0 <= i < self.num_rows:
-            raise IndexError(f"row index {i} outside [0, {self.num_rows})")
-        r = self.rows[i]
-        return [(r >> j) & 1 for j in range(self.num_cols)]
-
-    def column_int(self, j: int) -> int:
-        """Column j packed into an int (bit i = row i)."""
-        if not 0 <= j < self.num_cols:
-            raise IndexError(f"column index {j} outside [0, {self.num_cols})")
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r >> j) & 1) << i
-        return out
 
     def columns(self) -> list[int]:
         """Every column packed into an int (bit i = row i). A block of rows,
@@ -311,18 +289,14 @@ def dimensions(params: CodeParams) -> CodeDimensions:
     return CodeDimensions(num_rows, num_cols, column_weight, _rate(num_cols, num_rows))
 
 
-def materialize(params: CodeParams, row_limit: int | None = None,
-                max_bits: int = MATERIALIZE_BIT_BUDGET) -> BitMatrix:
+def materialize(params: CodeParams, *, max_bits: int = MATERIALIZE_BIT_BUDGET) -> BitMatrix:
     """Build the full matrix, rows and columns in rank order.
 
-    Refuses with BudgetError when the row count exceeds ``row_limit`` or the
-    total bit count exceeds ``max_bits``; larger instances should be queried
-    through entry() instead.
+    Refuses with BudgetError when the total bit count exceeds ``max_bits``;
+    larger instances should be queried through entry() instead.
     """
     dims = dimensions(params)
     num_rows, num_cols = dims.num_rows, dims.num_cols
-    if row_limit is not None and num_rows > row_limit:
-        raise BudgetError(f"{num_rows} rows exceed the row limit {row_limit}")
     needed = num_rows * num_cols
     if needed > max_bits:
         raise BudgetError(f"matrix needs {needed} bits, budget allows {max_bits}")
@@ -369,18 +343,17 @@ def best_k(n: int, s: int, ell: int) -> tuple[int, int]:
     return k, t
 
 
-def asymptotic_estimates(n: int, s: int, ell: int) -> tuple[int, float]:
-    """Leading-order size estimates for the k = n/2 instance.
-
-    Returns (log2 of the column count, estimated row count); the row estimate
-    is n**(s*ell) / (s!**ell * ell!). Reference values for reports, not exact
-    claims.
+def asymptotic_estimates(n: int, s: int, ell: int) -> float:
+    """Leading-order row count estimate n**(s*ell) / (s!**ell * ell!), a
+    reference value for reports, not an exact claim; math.inf when it
+    exceeds float range.
     """
     if n < 1 or s < 1 or ell < 1:
         raise ValueError(f"need positive n, s, ell, got ({n}, {s}, {ell})")
     denominator = math.factorial(s) ** ell * math.factorial(ell)
     try:
-        rows_estimate = n ** (s * ell) / denominator
+        # Integer true division is correctly rounded; it raises only when the
+        # quotient itself is past float range.
+        return n ** (s * ell) / denominator
     except OverflowError:
-        rows_estimate = math.exp(s * ell * math.log(n) - math.log(denominator))
-    return n, rows_estimate
+        return math.inf

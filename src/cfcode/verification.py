@@ -1,6 +1,5 @@
-"""Cover-free checking: per-row pattern tests, the exhaustive verifier over
-all disjoint column families, explicit witness construction, and the
-brute-force column weight oracle.
+"""Cover-free checking: the exhaustive verifier over all disjoint column
+families, and explicit witness construction.
 
 A matrix is cover-free for (s, ell) when every choice of s "negative" and
 ell disjoint "positive" columns admits a row that is 0 on all negatives and
@@ -14,18 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .code_core import (
-    BitMatrix,
-    BudgetError,
-    CodeParams,
-    RowLabel,
-    _require_column,
-    dimensions,
-)
+from .code_core import BitMatrix, CodeParams, RowLabel, _require_column
 from .combinatorics import KSubset, colex_subsets
-
-# Cap on the weight oracle's exhaustive row-label scan.
-FALLBACK_SCAN_LIMIT = 1_000_000
 
 
 class WitnessSearchError(RuntimeError):
@@ -75,16 +64,6 @@ class Verdict:
     min_family: CoverFreeQuery | None = None
 
 
-def row_satisfies(row: Sequence[int], query: CoverFreeQuery) -> bool:
-    """True iff the row is 0 on every negative and 1 on every positive column."""
-    width = len(row)
-    for j in query.neg_cols + query.pos_cols:
-        if not 1 <= j <= width:
-            raise IndexError(f"column {j} outside 1..{width}")
-    return (all(int(row[j - 1]) == 0 for j in query.neg_cols)
-            and all(int(row[j - 1]) == 1 for j in query.pos_cols))
-
-
 def _check_query_shape(matrix: BitMatrix, s: int, ell: int) -> None:
     if s < 1:
         raise ValueError(f"need s >= 1, got {s}")
@@ -93,18 +72,6 @@ def _check_query_shape(matrix: BitMatrix, s: int, ell: int) -> None:
     if s + ell > matrix.num_cols:
         raise ValueError(
             f"need s + ell <= {matrix.num_cols} columns, got {s} + {ell}")
-
-
-def _negatives(cols: list[int], num_rows: int,
-               s: int) -> Iterator[tuple[tuple[int, ...], list[int], int]]:
-    """Per negative family in colex order: the family, the other columns'
-    positions, and the rows that are 0 on every negative column."""
-    full = (1 << num_rows) - 1
-    for neg in colex_subsets(s, len(cols)):
-        base = full
-        for j in neg:
-            base &= ~cols[j - 1]
-        yield neg, [c for c in range(1, len(cols) + 1) if c not in neg], base
 
 
 def _first_least(masks: list[int], prefix: int, size: int, hi: int, bound: int,
@@ -152,9 +119,16 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     """
     _check_query_shape(matrix, s, ell)
     cols = matrix.columns()
+    t = len(cols)
+    full = (1 << matrix.num_rows) - 1
     bound = matrix.num_rows + 1 if count_witnesses else 1
     least: CoverFreeQuery | None = None
-    for neg, rest, base in _negatives(cols, matrix.num_rows, s):
+    for neg in colex_subsets(s, t):
+        # The rows that are 0 on every negative column.
+        base = full
+        for j in neg:
+            base &= ~cols[j - 1]
+        rest = [c for c in range(1, t + 1) if c not in neg]
         if not base:
             hit = 0, tuple(range(ell))
         elif ell == 1:
@@ -171,18 +145,6 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
             if not bound:
                 return Verdict(False, least, 0, least)
     return Verdict(True, None, bound if count_witnesses else None, least)
-
-
-def witness_counts(matrix: BitMatrix, s: int, ell: int) -> Iterator[tuple[CoverFreeQuery, int]]:
-    """Yield every disjoint (s, ell) column family with its witness-row count,
-    in verifier enumeration order."""
-    _check_query_shape(matrix, s, ell)
-    cols = matrix.columns()
-    for neg, rest, base in _negatives(cols, matrix.num_rows, s):
-        for positions in colex_subsets(ell, len(rest)):
-            pos = tuple(rest[p - 1] for p in positions)
-            rows = functools.reduce(int.__and__, (cols[c - 1] for c in pos), base)
-            yield CoverFreeQuery(neg, pos), rows.bit_count()
 
 
 def _meeting_subsets(pool: Sequence[int], size: int, targets: list[int], *,
@@ -269,21 +231,3 @@ def witness_row(params: CodeParams, neg_cols: Sequence[KSubset],
                 f"{len(members)} s-subsets of [n] lie in no negative column, "
                 f"fewer than ell={ell}")
     return RowLabel(tuple(KSubset(c, params.n) for c in members))
-
-
-def brute_force_column_weight(params: CodeParams, col: KSubset) -> int:
-    """Count rows with a 1 in the given column by scanning every row label in
-    rank order. Independent of the closed-form weight in dimensions()."""
-    _require_column(params, col)
-    num_rows = dimensions(params).num_rows
-    if num_rows > FALLBACK_SCAN_LIMIT:
-        raise BudgetError(
-            f"scan of {num_rows} row labels exceeds the limit {FALLBACK_SCAN_LIMIT}")
-    colset = set(col.elements)
-    subs = list(colex_subsets(params.s, params.n))
-    contained = [all(e in colset for e in c) for c in subs]
-    count = 0
-    for idx in colex_subsets(params.ell, len(subs)):
-        if any(contained[e - 1] for e in idx):
-            count += 1
-    return count

@@ -1,0 +1,63 @@
+"""Independent reference computations for the tests.
+
+Everything here works on plain row ints (bit j of a row is column j, as in
+``BitMatrix.rows``) and on tuples of 1-based elements or column positions.
+Nothing is imported from cfcode, so these checks share no code with the
+package's bulk transpose, scan kernel or closed forms.
+"""
+
+import itertools
+
+
+def colex_sorted(iterable):
+    """Sort tuples in colex order: compare the largest element first."""
+    return sorted(iterable, key=lambda c: tuple(reversed(c)))
+
+
+def transpose(rows, num_cols):
+    """Column masks built one bit at a time: bit i of mask j is row i's bit j."""
+    masks = [0] * num_cols
+    for i, row in enumerate(rows):
+        for j in range(num_cols):
+            masks[j] |= (row >> j & 1) << i
+    return masks
+
+
+def witness_count(rows, neg, pos):
+    """The number of rows that are 0 on every negative and 1 on every positive
+    column; columns are 1-based positions."""
+    neg_bits = sum(1 << (c - 1) for c in set(neg))
+    pos_bits = sum(1 << (c - 1) for c in set(pos))
+    return sum(1 for r in rows if not r & neg_bits and r & pos_bits == pos_bits)
+
+
+def witness_counts(rows, num_cols, s, ell):
+    """Yield ``((neg, pos), count)`` for every disjoint family of s negative
+    and ell positive columns, in the verifier's order: colex in the negatives,
+    then colex in the positives among the remaining columns."""
+    for neg in colex_sorted(itertools.combinations(range(1, num_cols + 1), s)):
+        rest = [c for c in range(1, num_cols + 1) if c not in neg]
+        for pos in colex_sorted(itertools.combinations(rest, ell)):
+            yield (neg, pos), witness_count(rows, neg, pos)
+
+
+def scan_summary(rows, num_cols, s, ell):
+    """In verifier order: the first family with no witness row (or None), the
+    least witness count, and the first family with that count."""
+    first_fail, least, least_family = None, None, None
+    for family, count in witness_counts(rows, num_cols, s, ell):
+        if count == 0 and first_fail is None:
+            first_fail = family
+        if least is None or count < least:
+            least, least_family = count, family
+    return first_fail, least, least_family
+
+
+def column_weight(n, s, ell, column):
+    """The number of row labels (ell distinct s-subsets of [n]) with a member
+    inside ``column``, by scanning every label."""
+    col = set(column)
+    inside = [col.issuperset(sub)
+              for sub in itertools.combinations(range(1, n + 1), s)]
+    return sum(1 for picks in itertools.combinations(range(len(inside)), ell)
+               if any(inside[i] for i in picks))

@@ -24,6 +24,7 @@ import time
 import warnings
 
 import pytest
+from reference import witness_count, witness_counts
 
 from cfcode.cli import main as cli_main
 from cfcode.combinatorics import binomial
@@ -41,14 +42,7 @@ from cfcode.code_core import (
     row_rank_from_label,
 )
 from cfcode.matrix_io import read_matrix
-from cfcode.verification import (
-    CoverFreeQuery,
-    WitnessSearchError,
-    row_satisfies,
-    verify_cover_free,
-    witness_counts,
-    witness_row,
-)
+from cfcode.verification import WitnessSearchError, verify_cover_free, witness_row
 
 MAX_ROWS = 5000
 QUERIES_PER_SET = 1000
@@ -133,24 +127,7 @@ def not_cover_free(grid):
             if params.ell > _min_escaping(params.n, params.k, params.s)}
 
 
-def _column_masks(matrix):
-    """Bit i of mask j is the matrix entry at row i, column j (0-based)."""
-    rows = [format(bits, f"0{matrix.num_cols}b") for bits in reversed(matrix.rows)]
-    return [int("".join(row[-1 - j] for row in rows), 2) for j in range(matrix.num_cols)]
-
-
-def _separated(masks, num_rows, neg, pos):
-    """True iff some row is 0 on every negative and 1 on every positive
-    column; columns are 1-based positions."""
-    rows = (1 << num_rows) - 1
-    for j in neg:
-        rows &= ~masks[j - 1]
-    for j in pos:
-        rows &= masks[j - 1]
-    return rows != 0
-
-
-def _counterexample_confirmed(out, params, matrix, masks):
+def _counterexample_confirmed(out, params, matrix):
     """The verify report names s negative and ell positive columns, all
     distinct and in range, that no row of the matrix separates."""
     lines = out.splitlines()
@@ -169,7 +146,7 @@ def _counterexample_confirmed(out, params, matrix, masks):
     cols = neg + pos
     if len(set(cols)) != len(cols) or not all(1 <= c <= matrix.num_cols for c in cols):
         return False
-    return not _separated(masks, matrix.num_rows, neg, pos)
+    return witness_count(matrix.rows, neg, pos) == 0
 
 
 def test_criterion_1_generate_and_verify_whole_grid(grid, matrices, not_cover_free, workdir):
@@ -195,8 +172,7 @@ def test_criterion_1_generate_and_verify_whole_grid(grid, matrices, not_cover_fr
             wrong.append(f"{_fmt(params)} gen={gen_code} verify={verify_code}, "
                          f"expected verify={expected}")
         elif verify_code == 1:
-            matrix = matrices[params]
-            if _counterexample_confirmed(out, params, matrix, _column_masks(matrix)):
+            if _counterexample_confirmed(out, params, matrices[params]):
                 reported.add(params)
             else:
                 wrong.append(f"{_fmt(params)} counterexample not confirmed: {out!r}")
@@ -260,7 +236,6 @@ def test_criterion_4_witness_soundness(grid, matrices):
     for params in grid:
         t = dimensions(params).num_cols
         matrix = matrices[params]
-        masks = _column_masks(matrix)
         rng = random.Random(params.n * 10_000 + params.k * 100 + params.s * 10 + params.ell)
         bad = 0
         for _ in range(QUERIES_PER_SET):
@@ -269,15 +244,15 @@ def test_criterion_4_witness_soundness(grid, matrices):
             pos_ranks = sorted(ranks[params.s:])
             neg = [column_from_rank(params, r) for r in neg_ranks]
             pos = [column_from_rank(params, r) for r in pos_ranks]
-            query = CoverFreeQuery(tuple(r + 1 for r in neg_ranks),
-                                   tuple(r + 1 for r in pos_ranks))
+            neg_cols = [r + 1 for r in neg_ranks]
+            pos_cols = [r + 1 for r in pos_ranks]
             try:
                 label = witness_row(params, neg, pos)
             except WitnessSearchError:
                 # Sound only if the query really has no witness.
                 escaping = _escaping_count(params.n, params.s, (c.elements for c in neg))
                 if (escaping >= params.ell
-                        or _separated(masks, matrix.num_rows, query.neg_cols, query.pos_cols)):
+                        or witness_count(matrix.rows, neg_cols, pos_cols)):
                     bad += 1
                 else:
                     no_witness[params] = no_witness.get(params, 0) + 1
@@ -285,7 +260,7 @@ def test_criterion_4_witness_soundness(grid, matrices):
             sound = (all(entry(params, label, col) == 1 for col in pos)
                      and all(entry(params, label, col) == 0 for col in neg))
             rank = row_rank_from_label(params, label)
-            if not sound or not row_satisfies(matrix.row_bits(rank), query):
+            if not sound or not witness_count([matrix.rows[rank]], neg_cols, pos_cols):
                 bad += 1
         if bad:
             failing[params] = bad
@@ -344,11 +319,11 @@ def test_criterion_7_negative_controls_and_mutation(grid, matrices):
     params = CodeParams(5, 3, 2, 1)
     pristine = matrices[params]
     assert verify_cover_free(pristine, 2, 1).holds
-    query = next(q for q, c in witness_counts(pristine, 2, 1) if c == 1)
-    row_index = next(i for i in range(pristine.num_rows)
-                     if row_satisfies(pristine.row_bits(i), query))
+    neg, pos = next(f for f, c in witness_counts(pristine.rows, pristine.num_cols, 2, 1)
+                    if c == 1)
+    row_index = next(i for i, r in enumerate(pristine.rows) if witness_count([r], neg, pos))
     mutated = BitMatrix(pristine.num_rows, pristine.num_cols, list(pristine.rows))
-    mutated.set(row_index, query.pos_cols[0] - 1, 0)
+    mutated.set(row_index, pos[0] - 1, 0)
     mutated_verdict = verify_cover_free(mutated, 2, 1)
 
     ok = (not ones_verdict.holds and ones_verdict.counterexample is not None
@@ -364,7 +339,7 @@ def test_criterion_8_asymptotic_ratio_checks():
     ratios = []
     for n in range(20, 201):
         exact = dimensions(CodeParams(n, n // 2, 2, 1)).num_rows
-        _, estimate = asymptotic_estimates(n, 2, 1)
+        estimate = asymptotic_estimates(n, 2, 1)
         ratios.append(exact / estimate)
     in_band = all(0.9 <= r <= 1.0 for r in ratios)
     increasing = all(a < b for a, b in zip(ratios, ratios[1:]))
@@ -372,7 +347,7 @@ def test_criterion_8_asymptotic_ratio_checks():
     exact_singleton = True
     for n in (5, 20, 100):
         rows = dimensions(CodeParams(n, 2, 1, 1)).num_rows
-        _, estimate = asymptotic_estimates(n, 1, 1)
+        estimate = asymptotic_estimates(n, 1, 1)
         exact_singleton &= rows == n and estimate == n
 
     ok = in_band and increasing and exact_singleton

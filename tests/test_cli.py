@@ -1,13 +1,18 @@
+import ast
 import json
+import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from reference import scan_summary
 
+import cfcode
 from cfcode.cli import main
 from cfcode.code_core import CodeParams, materialize
 from cfcode.matrix_io import read_matrix
-from cfcode.verification import witness_counts
 
 
 def run(capsys, *argv):
@@ -46,6 +51,21 @@ class TestParams:
         code, out, err = run(capsys, "params", "5", "3", "2", "1")
         assert code == 0
         assert "warning:" in err
+
+    def test_estimate_past_float_range(self, capsys):
+        # n**(s*l) / (s!**l * l!) is about 3e1269 here, past float range.
+        code, out, _ = run(capsys, "params", "1000", "500", "3", "200")
+        assert code == 0
+        assert "N_estimate=inf" in out.split()
+        code, out, _ = run(capsys, "params", "1000", "500", "3", "200", "--json")
+        assert code == 0
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["rows_estimate"] is None
+        assert payload["num_cols"] == math.comb(1000, 500)
 
 
 @pytest.mark.parametrize("argv", [
@@ -164,9 +184,7 @@ class TestVerify:
 
     def test_count_witnesses_reports_the_minimum(self, capsys, generated):
         matrix, _ = read_matrix(generated)
-        counts = list(witness_counts(matrix, 2, 2))
-        least = min(c for _, c in counts)
-        first = next(q for q, c in counts if c == least)
+        _, least, (neg, pos) = scan_summary(matrix.rows, matrix.num_cols, 2, 2)
         code, out, _ = run(capsys, "verify", str(generated), "--s", "2", "--l", "2",
                            "--count-witnesses", "--json")
         assert code == 0
@@ -175,8 +193,8 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(generated), "--s", "2", "--l", "2",
                            "--count-witnesses")
         assert out.splitlines()[1] == (
-            f"min witnesses {least} at neg {{{','.join(map(str, first.neg_cols))}}} "
-            f"pos {{{','.join(map(str, first.pos_cols))}}}")
+            f"min witnesses {least} at neg {{{','.join(map(str, neg))}}} "
+            f"pos {{{','.join(map(str, pos))}}}")
 
 
 class TestEntry:
@@ -278,3 +296,19 @@ class TestModuleInvocation:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert "N=45" in proc.stdout
+
+
+class TestReadme:
+    def test_library_example_runs(self):
+        # The README's Library code runs as printed and imports only public names.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+        blocks = re.findall(r"```python\n(.*?)```", library, re.S)
+        assert blocks
+        for source in blocks:
+            tree = ast.parse(source)
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, ast.ImportFrom) and node.module == "cfcode"
+                        for alias in node.names}
+            assert imported and imported <= set(cfcode.__all__)
+            exec(compile(tree, "README.md", "exec"), {})

@@ -6,8 +6,10 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import colex_sorted, transpose
 
-from cfcode.combinatorics import KSubset, binomial
+from cfcode import code_core
+from cfcode.combinatorics import KSubset, binomial, colex_rank
 from cfcode.code_core import (
     TRANSPOSE_BLOCK_ROWS,
     BitMatrix,
@@ -25,7 +27,6 @@ from cfcode.code_core import (
     materialize,
     row_label_from_rank,
     row_rank_from_label,
-    validate,
 )
 from cfcode.verification import witness_row
 
@@ -35,10 +36,6 @@ def _mute_parameter_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParameterWarning)
         yield
-
-
-def colex_sorted(iterable):
-    return sorted(iterable, key=lambda c: tuple(reversed(c)))
 
 
 def naive_labels(n, s, ell):
@@ -51,47 +48,47 @@ def naive_labels(n, s, ell):
 class TestValidate:
     def test_accepts_sound_parameters(self):
         params = CodeParams(5, 3, 2, 2)
-        assert validate(params) is params
+        assert (params.n, params.k, params.s, params.ell) == (5, 3, 2, 2)
 
     def test_k_not_below_n(self):
         with pytest.raises(ParameterError) as err:
-            validate(CodeParams(5, 5, 2, 2))
+            CodeParams(5, 5, 2, 2)
         assert err.value.constraint == "k < n"
 
     def test_s_not_below_k(self):
         with pytest.raises(ParameterError) as err:
-            validate(CodeParams(5, 2, 2, 2))
+            CodeParams(5, 2, 2, 2)
         assert err.value.constraint == "s < k"
 
     def test_ell_too_small(self):
         with pytest.raises(ParameterError) as err:
-            validate(CodeParams(5, 3, 2, 0))
+            CodeParams(5, 3, 2, 0)
         assert err.value.constraint == "ell >= 1"
 
     def test_family_overflows_columns(self):
         # t = C(4,3) = 4 and 3 + 2 > 4.
         with pytest.raises(ParameterError) as err:
-            validate(CodeParams(4, 3, 2, 3))
+            CodeParams(4, 3, 2, 3)
         assert err.value.constraint == "ell + s <= C(n,k)"
 
     def test_s_too_small(self):
         with pytest.raises(ParameterError) as err:
-            validate(CodeParams(5, 3, 0, 2))
+            CodeParams(5, 3, 0, 2)
         assert err.value.constraint == "s >= 1"
 
     def test_ell_one_warns(self):
         with pytest.warns(ParameterWarning):
-            validate(CodeParams(5, 3, 2, 1))
+            CodeParams(5, 3, 2, 1)
 
     def test_edge_family_size_warns(self):
         # ell + s equals t = C(5,4) = 5.
         with pytest.warns(ParameterWarning):
-            validate(CodeParams(5, 4, 2, 3))
+            CodeParams(5, 4, 2, 3)
 
     def test_comfortable_params_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", ParameterWarning)
-            validate(CodeParams(5, 3, 2, 2))
+            CodeParams(5, 3, 2, 2)
 
 
 class TestValidateOnce:
@@ -143,6 +140,19 @@ class TestRowLabel:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             RowLabel(())
+
+    def test_ranks_each_member_once(self, monkeypatch):
+        calls = []
+
+        def counting_rank(subset):
+            calls.append(subset)
+            return colex_rank(subset)
+
+        monkeypatch.setattr(code_core, "colex_rank", counting_rank)
+        members = (KSubset((7, 900), 1000), KSubset((1, 2), 1000), KSubset((3, 999), 1000))
+        label = RowLabel(members)
+        assert len(calls) == 3
+        assert [m.elements for m in label] == [(1, 2), (7, 900), (3, 999)]
 
 
 class TestEntry:
@@ -276,10 +286,6 @@ class TestMaterialize:
             for j, col in enumerate(cols):
                 assert m.get(i, j) == entry(self.params, row, col)
 
-    def test_row_limit(self):
-        with pytest.raises(BudgetError):
-            materialize(self.params, row_limit=10)
-
     def test_bit_budget_reports_sizes(self):
         with pytest.raises(BudgetError, match="450 bits.*100"):
             materialize(self.params, max_bits=100)
@@ -291,7 +297,7 @@ class TestBitMatrix:
         assert m.get(1, 2) == 0
         m.set(1, 2, 1)
         assert m.get(1, 2) == 1
-        assert m.row_bits(1) == [0, 0, 1, 0]
+        assert m.rows[1] == 0b0100
         m.set(1, 2, 0)
         assert m.rows == [0, 0, 0]
 
@@ -304,20 +310,19 @@ class TestBitMatrix:
         with pytest.raises(ValueError):
             m.set(0, 0, 2)
 
-    def test_column_int(self):
+    def test_columns(self):
         m = BitMatrix(3, 2, [0b01, 0b10, 0b11])
-        assert m.column_int(0) == 0b101
-        assert m.column_int(1) == 0b110
+        assert m.columns() == [0b101, 0b110]
         assert m.column_sums() == [2, 2]
 
-    def test_columns_match_column_int(self):
+    def test_columns_match_reference_transpose(self):
         rng = random.Random(3)
         sizes = [(0, 4), (1, 1), (5, 3), (TRANSPOSE_BLOCK_ROWS, 7),
                  (2 * TRANSPOSE_BLOCK_ROWS + 5, 11), (TRANSPOSE_BLOCK_ROWS + 1, 70)]
         for num_rows, num_cols in sizes:
             m = BitMatrix(num_rows, num_cols,
                           [rng.getrandbits(num_cols) for _ in range(num_rows)])
-            assert m.columns() == [m.column_int(j) for j in range(num_cols)]
+            assert m.columns() == transpose(m.rows, num_cols)
             assert m.column_sums() == [
                 sum(r >> j & 1 for r in m.rows) for j in range(num_cols)]
 
@@ -355,20 +360,18 @@ class TestBestK:
 class TestAsymptotics:
     def test_singleton_case_exact(self):
         for n in (5, 20, 100):
-            log_t, rows_est = asymptotic_estimates(n, 1, 1)
-            assert log_t == n
-            assert rows_est == n
+            assert asymptotic_estimates(n, 1, 1) == n
             assert dimensions(CodeParams(n, 2, 1, 1)).num_rows == n
 
     def test_pair_case(self):
-        _, est = asymptotic_estimates(100, 2, 1)
+        est = asymptotic_estimates(100, 2, 1)
         assert est == 5000
         exact = dimensions(CodeParams(100, 50, 2, 1)).num_rows
         assert exact == 4950
         assert exact / est == pytest.approx(0.99)
 
     def test_small_n_slack(self):
-        _, est = asymptotic_estimates(5, 2, 2)
+        est = asymptotic_estimates(5, 2, 2)
         assert est == pytest.approx(78.125)
 
     def test_rejects_nonpositive(self):

@@ -6,6 +6,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import colex_sorted
 
 from cfcode import combinatorics
 from cfcode.code_core import CodeParams, column_from_rank, column_rank
@@ -17,11 +18,6 @@ from cfcode.combinatorics import (
     colex_subsets,
     colex_unrank,
 )
-
-
-def colex_sorted(iterable):
-    """Reference colex order: compare largest differing elements."""
-    return sorted(iterable, key=lambda c: tuple(reversed(c)))
 
 
 class TestBinomial:

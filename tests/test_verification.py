@@ -1,15 +1,16 @@
-import itertools
 import random
 import time
 import warnings
 
 import pytest
+from reference import column_weight, scan_summary, witness_count, witness_counts
 
 from cfcode.combinatorics import KSubset
 from cfcode.code_core import (
     BitMatrix,
     CodeParams,
     ParameterWarning,
+    column_from_rank,
     column_rank,
     dimensions,
     entry,
@@ -20,10 +21,7 @@ from cfcode.code_core import (
 from cfcode.verification import (
     CoverFreeQuery,
     WitnessSearchError,
-    brute_force_column_weight,
-    row_satisfies,
     verify_cover_free,
-    witness_counts,
     witness_row,
 )
 
@@ -35,21 +33,8 @@ def _mute_parameter_warnings():
         yield
 
 
-def colex_sorted(iterable):
-    return sorted(iterable, key=lambda c: tuple(reversed(c)))
-
-
-def naive_verify(matrix, s, ell):
-    """Reference verifier: explicit row scan per family, same enumeration order."""
-    t = matrix.num_cols
-    rows = [matrix.row_bits(i) for i in range(matrix.num_rows)]
-    for neg in colex_sorted(itertools.combinations(range(1, t + 1), s)):
-        comp = [c for c in range(1, t + 1) if c not in neg]
-        for pos in colex_sorted(itertools.combinations(comp, ell)):
-            query = CoverFreeQuery(neg, pos)
-            if not any(row_satisfies(r, query) for r in rows):
-                return False, query
-    return True, None
+def _as_pair(query):
+    return None if query is None else (query.neg_cols, query.pos_cols)
 
 
 class TestCoverFreeQuery:
@@ -71,18 +56,17 @@ class TestCoverFreeQuery:
 
 
 class TestRowSatisfies:
+    """The reference's row test on hand-worked rows (bit j is column j + 1)."""
+
     def test_pattern_match(self):
-        assert row_satisfies([0, 1, 1, 0], CoverFreeQuery((1,), (2, 3)))
+        assert witness_count([0b0110], (1,), (2, 3)) == 1
+        assert witness_count([0b0110], (1,), (2, 4)) == 0
 
     def test_negative_column_holds_one(self):
-        assert not row_satisfies([0, 1, 1, 0], CoverFreeQuery((2,), (3,)))
+        assert witness_count([0b0110], (2,), (3,)) == 0
 
     def test_all_ones_row(self):
-        assert not row_satisfies([1, 1, 1, 1], CoverFreeQuery((1,), (2,)))
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            row_satisfies([0, 1], CoverFreeQuery((1,), (3,)))
+        assert witness_count([0b1111], (1,), (2,)) == 0
 
 
 class TestVerifyCoverFree:
@@ -123,10 +107,10 @@ class TestVerifyCoverFree:
                 for ell in (1, 2):
                     if s + ell > cols:
                         continue
-                    expected_holds, expected_query = naive_verify(m, s, ell)
+                    first_fail, _, _ = scan_summary(m.rows, cols, s, ell)
                     verdict = verify_cover_free(m, s, ell)
-                    assert verdict.holds == expected_holds
-                    assert verdict.counterexample == expected_query
+                    assert verdict.holds == (first_fail is None)
+                    assert _as_pair(verdict.counterexample) == first_fail
 
     def test_thread_counts_agree(self):
         rng = random.Random(11)
@@ -141,38 +125,15 @@ class TestVerifyCoverFree:
         m = materialize(CodeParams(5, 3, 2, 2))
         verdict = verify_cover_free(m, 2, 2, count_witnesses=True)
         assert verdict.holds
-        counts = list(witness_counts(m, 2, 2))
-        least = min(count for _, count in counts)
+        _, least, least_family = scan_summary(m.rows, m.num_cols, 2, 2)
         assert verdict.witness_count == least > 0
-        assert verdict.min_family == next(q for q, c in counts if c == least)
+        assert _as_pair(verdict.min_family) == least_family
         assert verify_cover_free(m, 2, 2).witness_count is None
         bad = BitMatrix(2, 3, [0b111, 0b111])
         verdict = verify_cover_free(bad, 1, 1, count_witnesses=True)
         assert not verdict.holds
         assert verdict.counterexample == CoverFreeQuery((1,), (2,))
         assert verdict.witness_count == 0
-
-
-def brute_force_summary(rows, t, s, ell):
-    """From plain row ints (bit j = column j), in verifier order: the first
-    (neg, pos) family with no witness row or None, the least witness-row
-    count, and the first family with that count."""
-    first_fail, least, least_family = None, None, None
-    for neg in colex_sorted(itertools.combinations(range(1, t + 1), s)):
-        rest = [c for c in range(1, t + 1) if c not in neg]
-        for pos in colex_sorted(itertools.combinations(rest, ell)):
-            count = sum(1 for r in rows
-                        if not any(r >> (c - 1) & 1 for c in neg)
-                        and all(r >> (c - 1) & 1 for c in pos))
-            if count == 0 and first_fail is None:
-                first_fail = (neg, pos)
-            if least is None or count < least:
-                least, least_family = count, (neg, pos)
-    return first_fail, least, least_family
-
-
-def _as_pair(query):
-    return None if query is None else (query.neg_cols, query.pos_cols)
 
 
 class TestKernelAgainstBruteForce:
@@ -203,7 +164,7 @@ class TestKernelAgainstBruteForce:
                 for ell in (1, 2, 3):
                     if s + ell > m.num_cols:
                         continue
-                    first_fail, least, least_family = brute_force_summary(
+                    first_fail, least, least_family = scan_summary(
                         m.rows, m.num_cols, s, ell)
                     plain = verify_cover_free(m, s, ell)
                     assert plain.holds == (first_fail is None)
@@ -228,12 +189,19 @@ class TestKernelAgainstBruteForce:
 
 class TestWitnessCounts:
     def test_counts_match_row_scan(self):
+        # The reference's row-scan counts equal an AND of the package's
+        # column masks, as the verifier kernel forms it.
         m = materialize(CodeParams(5, 3, 2, 1))
-        rows = [m.row_bits(i) for i in range(m.num_rows)]
+        masks = m.columns()
+        full = (1 << m.num_rows) - 1
         seen = 0
-        for query, count in witness_counts(m, 2, 1):
-            expected = sum(1 for r in rows if row_satisfies(r, query))
-            assert count == expected
+        for (neg, pos), count in witness_counts(m.rows, m.num_cols, 2, 1):
+            rows = full
+            for c in neg:
+                rows &= ~masks[c - 1]
+            for c in pos:
+                rows &= masks[c - 1]
+            assert count == rows.bit_count()
             seen += 1
         assert seen == 45 * 8  # C(10,2) * C(8,1)
 
@@ -281,7 +249,7 @@ class TestWitnessRow:
         query = CoverFreeQuery(
             tuple(sorted(column_rank(self.params, col) + 1 for col in neg)),
             tuple(sorted(column_rank(self.params, col) + 1 for col in pos)))
-        assert row_satisfies(m.row_bits(rank), query)
+        assert witness_count([m.rows[rank]], query.neg_cols, query.pos_cols) == 1
 
     def test_fallback_covers_two_positives_with_one_member(self):
         # Both positives admit only {1,2} as an escaping member, so the
@@ -333,7 +301,7 @@ class TestWitnessRow:
         # family is unseparable and the search reports it.
         params = CodeParams(4, 3, 1, 2)
         m = materialize(params)
-        assert all(count == 0 for _, count in witness_counts(m, 1, 2))
+        assert all(count == 0 for _, count in witness_counts(m.rows, m.num_cols, 1, 2))
         with pytest.raises(WitnessSearchError):
             witness_row(params,
                         [KSubset((1, 2, 3), 4)],
@@ -344,17 +312,17 @@ class TestWitnessAgainstCompleteSearch:
     def test_succeeds_exactly_when_a_separating_row_exists(self):
         # Exercised on a sound instance and on a degenerate one: witness_row
         # must succeed precisely for the families some row separates.
-        from cfcode.code_core import column_from_rank
         for params in [CodeParams(5, 3, 2, 2), CodeParams(4, 3, 2, 2)]:
             m = materialize(params)
             cols = [column_from_rank(params, j) for j in range(m.num_cols)]
-            for query, count in witness_counts(m, params.s, params.ell):
-                neg = [cols[j - 1] for j in query.neg_cols]
-                pos = [cols[j - 1] for j in query.pos_cols]
+            for (neg_pos, pos_pos), count in witness_counts(
+                    m.rows, m.num_cols, params.s, params.ell):
+                neg = [cols[j - 1] for j in neg_pos]
+                pos = [cols[j - 1] for j in pos_pos]
                 if count:
                     label = witness_row(params, neg, pos)
                     rank = row_rank_from_label(params, label)
-                    assert row_satisfies(m.row_bits(rank), query)
+                    assert witness_count([m.rows[rank]], neg_pos, pos_pos) == 1
                 else:
                     with pytest.raises(WitnessSearchError):
                         witness_row(params, neg, pos)
@@ -362,11 +330,9 @@ class TestWitnessAgainstCompleteSearch:
 
 class TestBruteForceColumnWeight:
     def test_known_weights(self):
-        params = CodeParams(5, 3, 2, 2)
-        assert brute_force_column_weight(params, KSubset((1, 2, 3), 5)) == 24
-        assert brute_force_column_weight(params, KSubset((3, 4, 5), 5)) == 24
-        single = CodeParams(5, 3, 2, 1)
-        assert brute_force_column_weight(single, KSubset((1, 2, 3), 5)) == 3
+        assert column_weight(5, 2, 2, (1, 2, 3)) == 24
+        assert column_weight(5, 2, 2, (3, 4, 5)) == 24
+        assert column_weight(5, 2, 1, (1, 2, 3)) == 3
 
     def test_matches_unrank_entry_scan(self):
         params = CodeParams(5, 3, 2, 2)
@@ -374,16 +340,16 @@ class TestBruteForceColumnWeight:
         total = dimensions(params).num_rows
         expected = sum(
             entry(params, row_label_from_rank(params, r), col) for r in range(total))
-        assert brute_force_column_weight(params, col) == expected
+        assert column_weight(5, 2, 2, col.elements) == expected
 
     def test_agrees_with_closed_form_everywhere(self):
-        from cfcode.code_core import column_from_rank
         for params in [CodeParams(5, 3, 2, 2), CodeParams(6, 3, 2, 2),
                        CodeParams(6, 4, 1, 3), CodeParams(5, 3, 1, 2)]:
             dims = dimensions(params)
             for j in range(dims.num_cols):
-                col = column_from_rank(params, j)
-                assert brute_force_column_weight(params, col) == dims.column_weight
+                col = column_from_rank(params, j).elements
+                assert (column_weight(params.n, params.s, params.ell, col)
+                        == dims.column_weight)
 
 
 class TestMutationSensitivity:
@@ -391,10 +357,8 @@ class TestMutationSensitivity:
         params = CodeParams(5, 3, 2, 1)
         m = materialize(params)
         assert verify_cover_free(m, 2, 1).holds
-        unique = next((q, c) for q, c in witness_counts(m, 2, 1) if c == 1)
-        query, _ = unique
-        row_index = next(
-            i for i in range(m.num_rows) if row_satisfies(m.row_bits(i), query))
+        neg, pos = next(f for f, c in witness_counts(m.rows, m.num_cols, 2, 1) if c == 1)
+        row_index = next(i for i, r in enumerate(m.rows) if witness_count([r], neg, pos))
         mutated = BitMatrix(m.num_rows, m.num_cols, list(m.rows))
-        mutated.set(row_index, query.pos_cols[0] - 1, 0)
+        mutated.set(row_index, pos[0] - 1, 0)
         assert not verify_cover_free(mutated, 2, 1).holds
