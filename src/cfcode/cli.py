@@ -10,13 +10,14 @@ stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import re
 import sys
 import warnings
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .combinatorics import KSubset
 from .code_core import (
@@ -24,6 +25,7 @@ from .code_core import (
     CodeParams,
     MATERIALIZE_BIT_BUDGET,
     ParameterError,
+    ParameterWarning,
     RowLabel,
     asymptotic_estimates,
     best_k,
@@ -116,10 +118,25 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _provenance_params(provenance: dict[str, int] | None) -> CodeParams | None:
+    """The params a file's provenance header names, or None when it has none
+    or they are invalid. Building them warns of nothing: the header is only
+    a hint for choosing the scan mode."""
+    if provenance is None:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ParameterWarning)
+        try:
+            return CodeParams(**provenance)
+        except ParameterError:
+            return None
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
-    matrix, _ = read_matrix(args.file)
+    matrix, provenance = read_matrix(args.file)
     verdict = verify_cover_free(matrix, args.s, args.l,
-                                count_witnesses=args.count_witnesses)
+                                count_witnesses=args.count_witnesses,
+                                construction=_provenance_params(provenance))
     bad, least = verdict.counterexample, verdict.min_family
     if args.json:
         payload = {"holds": verdict.holds, "s": args.s, "l": args.l,
@@ -129,6 +146,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                    "witness_count": verdict.witness_count}
         if args.count_witnesses:
             payload["min_witnesses"] = verdict.witness_count
+        payload["mode"] = "full" if verdict.orbits is None else "orbit"
+        payload["orbits"] = verdict.orbits
         print(json.dumps(payload))
     else:
         print(f"{'' if verdict.holds else 'NOT '}COVER-FREE ({args.s},{args.l})")
@@ -243,30 +262,48 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+@contextlib.contextmanager
+def _exact_int_strings() -> Iterator[None]:
+    """Lift the interpreter's digit limit on int/str conversion (Python 3.11,
+    and patch releases of earlier versions), so exact counts and ranks of any
+    size parse and print; the previous limit is restored on exit."""
+    get_limit = getattr(sys, "get_int_max_str_digits", None)
+    if get_limit is None:
+        yield
+        return
+    limit = get_limit()
+    sys.set_int_max_str_digits(0)
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code = args.func(args)
-        for w in caught:
-            print(f"warning: {w.message}", file=sys.stderr)
-        return code
-    except ParameterError as exc:
-        print(f"error: violated constraint {exc.constraint}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MatrixFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except WitnessSearchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (ValueError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    with _exact_int_strings():
+        args = _parser().parse_args(argv)
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = args.func(args)
+            for w in caught:
+                print(f"warning: {w.message}", file=sys.stderr)
+            return code
+        except ParameterError as exc:
+            print(f"error: violated constraint {exc.constraint}: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MatrixFormatError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except BudgetError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BUDGET
+        except WitnessSearchError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INTERNAL
+        except (ValueError, IndexError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -77,6 +77,9 @@ class CodeParams:
                     "ell + s <= C(n,k)",
                     f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
             at_edge = ell + s == t
+        # 0 < s < n gives C(n,s) >= n, so only ell > n can exceed the member count.
+        if ell > n:
+            _require_members(n, s, ell)
         # stacklevel 3 skips the generated __init__ to the caller's line.
         if ell == 1:
             warnings.warn(ParameterWarning(
@@ -85,6 +88,14 @@ class CodeParams:
             warnings.warn(ParameterWarning(
                 f"ell + s equals the column count C({n},{k})={t}; "
                 f"{self} sits at the edge of the usable range"), stacklevel=3)
+
+
+def _require_members(n: int, s: int, ell: int) -> None:
+    # A row label holds ell distinct s-subsets of [n], so past C(n,s) no row exists.
+    m = binomial(n, s)
+    if ell > m:
+        raise ParameterError(
+            "ell <= C(n,s)", f"need ell <= C(n,s), got ell={ell} > C({n},{s})={m}")
 
 
 @dataclass(frozen=True)
@@ -289,6 +300,47 @@ def dimensions(params: CodeParams) -> CodeDimensions:
     return CodeDimensions(num_rows, num_cols, column_weight, _rate(num_cols, num_rows))
 
 
+def _families(member_bits: list[int], level: list[int], held: int, size: int,
+              hi: int) -> Iterator[int]:
+    """The ORs of the size-families of the first hi members, in colex order;
+    ``level`` lists those of all held-families."""
+    if size == held:
+        return itertools.islice(level, math.comb(hi, size))
+    return (prev | member_bits[e - 1] for e in range(size, hi + 1)
+            for prev in _families(member_bits, level, held, size - 1, e - 1))
+
+
+def construction_rows(params: CodeParams) -> Iterator[int]:
+    """Every row of the matrix as a bit-packed int, in rank order, without
+    holding the matrix.
+
+    A row is the OR of its members' column patterns. Rows are built level by
+    level with one OR each: a j-family whose last member is e is a
+    (j-1)-family of the first e-1 members plus e, and those (j-1)-families
+    are the first C(e-1, j-1) entries of level j-1. Levels up to
+    min(ell-1, C(n,s)-ell) are built as lists, none longer than the row
+    count, and only the last of them is kept; the levels above it are walked
+    as nested generators.
+    """
+    n, k, s, ell = params.n, params.k, params.s, params.ell
+    col_index = {c: j for j, c in enumerate(colex_subsets(k, n))}
+    # For every s-subset, in rank order, the pattern of the columns containing it.
+    member_bits = []
+    for sub in colex_subsets(s, n):
+        pattern = 0
+        others = [e for e in range(1, n + 1) if e not in sub]
+        for extra in itertools.combinations(others, k - s):
+            pattern |= 1 << col_index[tuple(sorted(sub + extra))]
+        member_bits.append(pattern)
+    m = len(member_bits)
+    held = min(ell - 1, m - ell)
+    level = [0]
+    for j in range(1, held + 1):
+        level = [prev | member_bits[e - 1] for e in range(j, m + 1)
+                 for prev in itertools.islice(level, math.comb(e - 1, j - 1))]
+    return _families(member_bits, level, held, ell, m)
+
+
 def materialize(params: CodeParams, *, max_bits: int = MATERIALIZE_BIT_BUDGET) -> BitMatrix:
     """Build the full matrix, rows and columns in rank order.
 
@@ -300,27 +352,7 @@ def materialize(params: CodeParams, *, max_bits: int = MATERIALIZE_BIT_BUDGET) -
     needed = num_rows * num_cols
     if needed > max_bits:
         raise BudgetError(f"matrix needs {needed} bits, budget allows {max_bits}")
-    n, k, s, ell = params.n, params.k, params.s, params.ell
-
-    columns = list(colex_subsets(k, n))
-    col_index = {c: j for j, c in enumerate(columns)}
-    ground = range(1, n + 1)
-    # For every s-subset, the bit pattern of all columns containing it.
-    member_bits = []
-    for sub in colex_subsets(s, n):
-        pattern = 0
-        others = [e for e in ground if e not in sub]
-        for extra in itertools.combinations(others, k - s):
-            pattern |= 1 << col_index[tuple(sorted(sub + extra))]
-        member_bits.append(pattern)
-
-    rows = [0] * num_rows
-    for i, idx in enumerate(colex_subsets(ell, len(member_bits))):
-        bits = 0
-        for e in idx:
-            bits |= member_bits[e - 1]
-        rows[i] = bits
-    return BitMatrix(num_rows, num_cols, rows)
+    return BitMatrix(num_rows, num_cols, list(construction_rows(params)))
 
 
 def best_k(n: int, s: int, ell: int) -> tuple[int, int]:
@@ -328,7 +360,7 @@ def best_k(n: int, s: int, ell: int) -> tuple[int, int]:
 
     C(n, k) is unimodal with its first maximum at n//2, so over s < k < n it
     peaks at k* = max(n//2, s+1), ties going to the smaller k. Some k is
-    admissible iff k* < n and ell + s <= C(n, k*).
+    admissible iff k* < n, ell + s <= C(n, k*) and ell <= C(n, s).
     """
     if s < 1:
         raise ParameterError("s >= 1", f"need s >= 1, got s={s}")
@@ -340,6 +372,8 @@ def best_k(n: int, s: int, ell: int) -> tuple[int, int]:
         raise ParameterError(
             "admissible k exists",
             f"no k with s < k < n and ell + s <= C(n,k) for n={n}, s={s}, ell={ell}")
+    if ell > n:
+        _require_members(n, s, ell)
     return k, t
 
 

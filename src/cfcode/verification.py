@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
-from .code_core import BitMatrix, CodeParams, RowLabel, _require_column
-from .combinatorics import KSubset, colex_subsets
+from .code_core import BitMatrix, CodeParams, RowLabel, _require_column, construction_rows
+from .combinatorics import KSubset, binomial, colex_subsets
 
 
 class WitnessSearchError(RuntimeError):
@@ -55,13 +56,16 @@ class Verdict:
     enumeration order, ``witness_count`` is 0 and ``min_family`` is that
     family. When it is true and the run counted witnesses, ``witness_count``
     is the least number of witness rows over all families and ``min_family``
-    the first family with that few; otherwise both are None.
+    the first family with that few; otherwise both are None. ``orbits`` is
+    the number of negative-family orbits scanned in orbit mode, None in full
+    mode.
     """
 
     holds: bool
     counterexample: CoverFreeQuery | None = None
     witness_count: int | None = None
     min_family: CoverFreeQuery | None = None
+    orbits: int | None = None
 
 
 def _check_query_shape(matrix: BitMatrix, s: int, ell: int) -> None:
@@ -105,8 +109,48 @@ def _first_least(masks: list[int], prefix: int, size: int, hi: int, bound: int,
     return found
 
 
+def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
+    """Whether the matrix equals the construction of ``params``, compared one
+    row at a time against construction_rows, so no second matrix is held."""
+    n, k, s, ell = params.n, params.k, params.s, params.ell
+    # C(n,k) >= n, and C(m,ell) >= m unless ell == m, so a header naming a
+    # larger code is refused before any binomial grows past the matrix.
+    if n > matrix.num_cols or binomial(n, k) != matrix.num_cols:
+        return False
+    m = binomial(n, s)
+    if (ell < m and m > matrix.num_rows) or binomial(m, ell) != matrix.num_rows:
+        return False
+    return all(map(operator.eq, matrix.rows, construction_rows(params)))
+
+
+def _orbit_key(params: CodeParams, s: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A function from a negative family (1-based column positions) to its
+    S_n orbit: the counts of the elements of [n] by membership pattern over
+    the family's k-subsets (its Venn vector), least over all orderings of the
+    family. Two families with the same key are carried onto each other by a
+    permutation of [n]."""
+    sets = [sum(1 << e for e in c) for c in colex_subsets(params.k, params.n)]
+    full = (1 << (params.n + 1)) - 2
+    # Pattern v has bit i when the element lies in set i; reordering the sets
+    # by sigma sends pattern w to the pattern with bit sigma(i) for bit i of w.
+    reorders = [operator.itemgetter(*(sum((w >> i & 1) << p for i, p in enumerate(sigma))
+                                      for w in range(1 << s)))
+                for sigma in itertools.permutations(range(s))]
+
+    def key(neg: tuple[int, ...]) -> tuple[int, ...]:
+        regions = [full]
+        for j in neg:
+            a = sets[j - 1]
+            regions = [r & ~a for r in regions] + [r & a for r in regions]
+        counts = [r.bit_count() for r in regions]
+        return min([reorder(counts) for reorder in reorders])
+
+    return key
+
+
 def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
-                      count_witnesses: bool = False) -> Verdict:
+                      count_witnesses: bool = False,
+                      construction: CodeParams | None = None) -> Verdict:
     """Exhaustively test the cover-free condition over all disjoint (s, ell)
     column families.
 
@@ -116,14 +160,29 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     ``count_witnesses`` also finds the least witness multiplicity and the
     first family with it; a zero still ends the scan. ``threads`` is
     accepted and has no effect: the scan's big ints hold the interpreter lock.
+
+    When the matrix equals the construction of ``construction`` (orbit
+    mode), a permutation of [n] permutes its rows and its columns, so the
+    negative families of one S_n orbit have the same least witness count.
+    The walk then scans only the first family of each orbit: a later one can
+    beat neither the bound its orbit's first member set nor that member's
+    place in colex order, so the verdict is the one the full walk gives.
     """
     _check_query_shape(matrix, s, ell)
+    orbit_key = seen = None
+    if construction is not None and _is_construction(matrix, construction):
+        orbit_key, seen = _orbit_key(construction, s), set()
     cols = matrix.columns()
     t = len(cols)
     full = (1 << matrix.num_rows) - 1
     bound = matrix.num_rows + 1 if count_witnesses else 1
     least: CoverFreeQuery | None = None
     for neg in colex_subsets(s, t):
+        if orbit_key is not None:
+            key = orbit_key(neg)
+            if key in seen:
+                continue
+            seen.add(key)
         # The rows that are 0 on every negative column.
         base = full
         for j in neg:
@@ -143,8 +202,11 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
             bound, positions = hit
             least = CoverFreeQuery(neg, tuple(rest[p] for p in positions))
             if not bound:
-                return Verdict(False, least, 0, least)
-    return Verdict(True, None, bound if count_witnesses else None, least)
+                break
+    orbits = None if seen is None else len(seen)
+    if not bound:
+        return Verdict(False, least, 0, least, orbits)
+    return Verdict(True, None, bound if count_witnesses else None, least, orbits)
 
 
 def _meeting_subsets(pool: Sequence[int], size: int, targets: list[int], *,

@@ -61,3 +61,41 @@ def column_weight(n, s, ell, column):
               for sub in itertools.combinations(range(1, n + 1), s)]
     return sum(1 for picks in itertools.combinations(range(len(inside)), ell)
                if any(inside[i] for i in picks))
+
+
+def construction_rows(n, k, s, ell):
+    """The rows of the (n, k, s, ell) code in rank order: each row is the OR
+    of its members' column patterns, and a member's pattern has bit j set
+    when the member lies inside column j (columns are the k-subsets of [n]
+    in colex order)."""
+    columns = [set(c) for c in colex_sorted(itertools.combinations(range(1, n + 1), k))]
+    patterns = [sum(1 << j for j, col in enumerate(columns) if col.issuperset(sub))
+                for sub in colex_sorted(itertools.combinations(range(1, n + 1), s))]
+    rows = []
+    for picks in colex_sorted(itertools.combinations(range(len(patterns)), ell)):
+        row = 0
+        for i in picks:
+            row |= patterns[i]
+        rows.append(row)
+    return rows
+
+
+def orbit_count(n, k, s):
+    """The number of S_n orbits of families of s distinct k-subsets of [n],
+    by joining every family to its images under the two permutations that
+    generate S_n: the swap of 1 and 2 and the cycle 1 -> 2 -> ... -> n -> 1."""
+    columns = [frozenset(c) for c in itertools.combinations(range(1, n + 1), k)]
+    families = [frozenset(f) for f in itertools.combinations(columns, s)]
+    parent = {f: f for f in families}
+
+    def root(f):
+        while parent[f] != f:
+            f = parent[f]
+        return f
+
+    generators = [{1: 2, 2: 1}, {e: e % n + 1 for e in range(1, n + 1)}]
+    for f in families:
+        for g in generators:
+            image = frozenset(frozenset(g.get(e, e) for e in c) for c in f)
+            parent[root(image)] = root(f)
+    return len({root(f) for f in families})

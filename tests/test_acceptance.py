@@ -11,6 +11,10 @@ report each case faithfully: verify fails exactly on those sets, with a
 counterexample that no row separates, and the witness search gives up only
 on queries that have no witness. ``_min_escaping`` computes E_min by brute
 force from the definition, independently of cfcode.
+
+Two further checks run on the same grid: ``materialize`` equals a per-row
+reference construction, and the verifier's orbit mode gives the full walk's
+verdict for several (s, ell) on every set.
 """
 
 import contextlib
@@ -22,9 +26,10 @@ import re
 import sys
 import time
 import warnings
+from dataclasses import replace
 
 import pytest
-from reference import witness_count, witness_counts
+from reference import construction_rows, witness_count, witness_counts
 
 from cfcode.cli import main as cli_main
 from cfcode.combinatorics import binomial
@@ -381,3 +386,31 @@ def test_criterion_9_determinism(workdir):
     assert byte_identical
     assert thread_invariant
     assert failure_invariant
+
+
+def test_materialize_matches_reference_rows(grid, matrices):
+    bad = [_fmt(p) for p in grid
+           if matrices[p].rows != construction_rows(p.n, p.k, p.s, p.ell)]
+    assert not bad, f"materialize differs from the per-row construction for {bad}"
+
+
+def test_orbit_mode_matches_full_walk(grid, matrices, not_cover_free):
+    # Each matrix is checked for its own (s, ell) and four others; the 20
+    # sets past E_min fail at their own (s, ell) in both modes.
+    compared = failing = 0
+    for params in grid:
+        matrix = matrices[params]
+        shapes = {(1, 1), (1, 2), (2, 1), (2, 2), (params.s, params.ell)}
+        for s, ell in sorted(shapes):
+            if s + ell > matrix.num_cols:
+                continue
+            for count in (False, True):
+                full = verify_cover_free(matrix, s, ell, count_witnesses=count)
+                orbit = verify_cover_free(matrix, s, ell, count_witnesses=count,
+                                          construction=params)
+                assert full.orbits is None and orbit.orbits is not None
+                assert replace(orbit, orbits=None) == full, (_fmt(params), s, ell, count)
+                compared += 1
+                failing += not full.holds and (s, ell) == (params.s, params.ell)
+    assert compared > 500
+    assert failing == 2 * len(not_cover_free)

@@ -1,4 +1,5 @@
 import ast
+import contextlib
 import json
 import math
 import re
@@ -7,7 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from reference import scan_summary
+from reference import scan_summary, witness_count, witness_counts
 
 import cfcode
 from cfcode.cli import main
@@ -66,6 +67,68 @@ class TestParams:
         payload = json.loads(out, parse_constant=reject)
         assert payload["rows_estimate"] is None
         assert payload["num_cols"] == math.comb(1000, 500)
+
+    def test_label_longer_than_member_count_exit_2(self, capsys, tmp_path):
+        # C(4,1) = 4 singletons cannot fill a label of 5, so no row exists.
+        code, _, err = run(capsys, "params", "4", "2", "1", "5")
+        assert code == 2
+        assert "ell <= C(n,s)" in err
+        out_file = tmp_path / "x.txt"
+        code, _, err = run(capsys, "gen", "4", "2", "1", "5", "--out", str(out_file))
+        assert code == 2
+        assert "ell <= C(n,s)" in err and not out_file.exists()
+
+
+@contextlib.contextmanager
+def unlimited_int_digits():
+    """Let the test itself convert ints of any length to and from strings;
+    the CLI runs outside this block, under the interpreter's own limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestExactCountsPastDigitLimit:
+    """Counts and ranks past Python's default 4,300-digit conversion limit."""
+
+    def test_params_prints_exact_counts(self, capsys):
+        code, out, _ = run(capsys, "params", "20000", "10000", "2", "2")
+        assert code == 0
+        fields = dict(part.split("=", 1) for part in out.split())
+        t = math.comb(20000, 10000)
+        with unlimited_int_digits():
+            assert len(str(t)) > 6000
+            assert fields["t"] == str(t)
+        code, out, _ = run(capsys, "params", "20000", "10000", "2", "2", "--json")
+        assert code == 0
+        with unlimited_int_digits():
+            assert json.loads(out)["num_cols"] == t
+
+    def test_entry_takes_a_5000_digit_rank(self, capsys):
+        with unlimited_int_digits():
+            rank = str(10**4999 + 12345)
+        code, out, _ = run(capsys, "entry", "20000", "10000", "2", "2",
+                           "--row-rank", "0", "--col-rank", rank)
+        assert code == 0
+        col_line = out.splitlines()[2]
+        assert col_line.startswith(f"col rank={rank} set={{")
+        col = col_line.split(" set=", 1)[1]
+        code, out, _ = run(capsys, "entry", "20000", "10000", "2", "2",
+                           "--row-rank", "0", "--col", col)
+        assert code == 0
+        assert out.splitlines()[2] == col_line
+
+    def test_limit_is_restored(self, capsys):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = limit()
+        assert run(capsys, "params", "20000", "10000", "2", "2")[0] == 0
+        assert limit() == before
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,6 +258,89 @@ class TestVerify:
         assert out.splitlines()[1] == (
             f"min witnesses {least} at neg {{{','.join(map(str, neg))}}} "
             f"pos {{{','.join(map(str, pos))}}}")
+
+
+class TestVerifyMode:
+    """Orbit mode runs only on a file equal to the code its provenance header
+    names; every other file gets the full walk, with the same report."""
+
+    @staticmethod
+    def _verify_json(capsys, path, s, ell):
+        code, out, err = run(capsys, "verify", str(path), "--s", str(s), "--l", str(ell),
+                             "--count-witnesses", "--json")
+        return code, json.loads(out), err
+
+    @staticmethod
+    def _lines(path):
+        return Path(path).read_text().splitlines(keepends=True)
+
+    def test_generated_file_runs_in_orbit_mode(self, capsys, tmp_path):
+        path = tmp_path / "x.txt"
+        run(capsys, "gen", "5", "3", "2", "2", "--out", str(path))
+        code, payload, _ = self._verify_json(capsys, path, 2, 2)
+        assert code == 0
+        assert payload["mode"] == "orbit" and payload["orbits"] == 2
+        # The header's (s, l) need not be the checked (s, l).
+        code, payload, _ = self._verify_json(capsys, path, 1, 1)
+        assert payload["mode"] == "orbit" and payload["orbits"] == 1
+
+    def test_flipped_bit_runs_in_full_mode(self, capsys, tmp_path):
+        path = tmp_path / "x.txt"
+        run(capsys, "gen", "5", "3", "2", "1", "--out", str(path))
+        matrix, _ = read_matrix(path)
+        # Clear one bit of the only witness row of some family.
+        neg, pos = next(f for f, c in witness_counts(matrix.rows, matrix.num_cols, 2, 1)
+                        if c == 1)
+        row = next(i for i, r in enumerate(matrix.rows) if witness_count([r], neg, pos))
+        lines = self._lines(path)
+        line = lines[3 + row]
+        col = pos[0] - 1
+        assert line[col] == "1"
+        lines[3 + row] = line[:col] + "0" + line[col + 1:]
+        path.write_text("".join(lines))
+        matrix, provenance = read_matrix(path)
+        assert provenance == {"n": 5, "k": 3, "s": 2, "ell": 1}
+        first_fail, least, _ = scan_summary(matrix.rows, matrix.num_cols, 2, 1)
+        assert first_fail is not None
+        code, payload, _ = self._verify_json(capsys, path, 2, 1)
+        assert code == 1
+        assert payload["mode"] == "full" and payload["orbits"] is None
+        assert payload["holds"] is False and payload["min_witnesses"] == least == 0
+        assert (tuple(payload["counterexample"]["neg"]),
+                tuple(payload["counterexample"]["pos"])) == first_fail
+
+    def test_unmatched_or_missing_header_runs_in_full_mode(self, capsys, tmp_path):
+        path = tmp_path / "x.txt"
+        run(capsys, "gen", "5", "3", "2", "2", "--out", str(path))
+        lines = self._lines(path)
+        bare = tmp_path / "bare.txt"
+        bare.write_text("".join(lines[:2] + lines[3:]))
+        wrong = tmp_path / "wrong.txt"
+        wrong.write_text("".join(lines[:2] + ["# n=6 k=3 s=2 l=2\n"] + lines[3:]))
+        reports = {}
+        for name in ("x.txt", "bare.txt", "wrong.txt"):
+            code, out, _ = run(capsys, "verify", str(tmp_path / name), "--s", "2",
+                               "--l", "2", "--count-witnesses")
+            reports[name] = code, out
+            code, payload, _ = self._verify_json(capsys, tmp_path / name, 2, 2)
+            assert payload["mode"] == ("orbit" if name == "x.txt" else "full")
+        # The text report is the same in both modes.
+        assert reports["x.txt"] == reports["bare.txt"] == reports["wrong.txt"]
+
+    def test_invalid_header_runs_in_full_mode(self, capsys, tmp_path):
+        path = tmp_path / "x.txt"
+        path.write_text("cfcode v1\n2 3\n# n=4 k=2 s=1 l=5\n011\n101\n")
+        code, payload, err = self._verify_json(capsys, path, 1, 1)
+        assert code == 1 and payload["mode"] == "full"
+        assert err == ""
+
+    def test_ell_one_header_prints_no_warning(self, capsys, tmp_path):
+        path = tmp_path / "x.txt"
+        _, _, err = run(capsys, "gen", "5", "3", "2", "1", "--out", str(path))
+        assert err.count("warning:") == 1
+        code, out, err = run(capsys, "verify", str(path), "--s", "2", "--l", "1", "--json")
+        assert code == 0 and json.loads(out)["mode"] == "orbit"
+        assert "warning:" not in err
 
 
 class TestEntry:

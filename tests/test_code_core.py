@@ -1,12 +1,13 @@
 import itertools
 import math
 import random
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import colex_sorted, transpose
+from reference import colex_sorted, construction_rows, transpose
 
 from cfcode import code_core
 from cfcode.combinatorics import KSubset, binomial, colex_rank
@@ -70,6 +71,15 @@ class TestValidate:
         with pytest.raises(ParameterError) as err:
             CodeParams(4, 3, 2, 3)
         assert err.value.constraint == "ell + s <= C(n,k)"
+
+    def test_family_overflows_members(self):
+        # Only C(4,1) = 4 singletons exist for a label of 5; t = C(4,2) = 6.
+        with pytest.raises(ParameterError) as err:
+            CodeParams(4, 2, 1, 5)
+        assert err.value.constraint == "ell <= C(n,s)"
+        with pytest.raises(ParameterError) as err:
+            best_k(4, 1, 5)
+        assert err.value.constraint == "ell <= C(n,s)"
 
     def test_s_too_small(self):
         with pytest.raises(ParameterError) as err:
@@ -286,6 +296,30 @@ class TestMaterialize:
             for j, col in enumerate(cols):
                 assert m.get(i, j) == entry(self.params, row, col)
 
+    # Past the acceptance grid's ell <= 3, with ell above half of C(n,s), so
+    # the upper levels of construction_rows are walked, not held.
+    @pytest.mark.parametrize("quad", [(5, 4, 1, 4), (5, 3, 2, 8), (6, 4, 2, 13), (6, 5, 2, 4)])
+    def test_matches_reference_rows(self, quad):
+        params = CodeParams(*quad)
+        assert materialize(params).rows == construction_rows(*quad)
+        assert list(code_core.construction_rows(params)) == construction_rows(*quad)
+
+    def test_rows_stream_without_the_matrix(self):
+        # The stream holds one lower level of ORs, a fifth of the rows here.
+        params = CodeParams(8, 6, 2, 5)
+        tracemalloc.start()
+        try:
+            for _ in code_core.construction_rows(params):
+                pass
+            streamed = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            rows = materialize(params).rows
+            held = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 98280
+        assert streamed < held / 3
+
     def test_bit_budget_reports_sizes(self):
         with pytest.raises(BudgetError, match="450 bits.*100"):
             materialize(self.params, max_bits=100)
@@ -348,7 +382,7 @@ class TestBestK:
                 for ell in (1, 2, 3, 50, 10**6):
                     admissible = [
                         (binomial(n, k), -k) for k in range(s + 1, n)
-                        if s + ell <= binomial(n, k)]
+                        if s + ell <= binomial(n, k) and ell <= binomial(n, s)]
                     if not admissible:
                         with pytest.raises(ParameterError):
                             best_k(n, s, ell)

@@ -1,10 +1,13 @@
+import itertools
 import random
 import time
 import warnings
 
 import pytest
-from reference import column_weight, scan_summary, witness_count, witness_counts
+from reference import (colex_sorted, column_weight, orbit_count, scan_summary, witness_count,
+                       witness_counts)
 
+from cfcode import verification
 from cfcode.combinatorics import KSubset
 from cfcode.code_core import (
     BitMatrix,
@@ -185,6 +188,74 @@ class TestKernelAgainstBruteForce:
         assert verdict.counterexample == CoverFreeQuery((1, 2), (3, 4, 5))
         assert verdict.witness_count == 0
         assert verdict.min_family == verdict.counterexample
+
+
+class TestOrbitMode:
+    """A matrix equal to its construction scans one negative family per
+    S_n orbit and gives the full walk's verdict."""
+
+    @pytest.mark.parametrize("quad, s, orbits", [
+        # Two 3-subsets of [5] share 1 or 2 elements; two 4-subsets of [8]
+        # share 0 to 3, two 5-subsets of [8] 2 to 4; all columns are alike
+        # for s = 1.
+        ((5, 3, 2, 2), 2, 2), ((8, 4, 2, 2), 2, 4), ((8, 5, 2, 3), 2, 3),
+        ((6, 3, 1, 2), 1, 1)])
+    def test_one_family_per_orbit(self, quad, s, orbits, monkeypatch):
+        params = CodeParams(*quad)
+        scanned = []
+        kernel = verification._first_least
+
+        def counting_kernel(masks, prefix, size, hi, bound, chosen):
+            if not chosen:
+                scanned.append(hi)
+            return kernel(masks, prefix, size, hi, bound, chosen)
+
+        monkeypatch.setattr(verification, "_first_least", counting_kernel)
+        verdict = verify_cover_free(materialize(params), s, params.ell,
+                                    construction=params)
+        assert verdict.holds
+        assert verdict.orbits == len(scanned) == orbits
+
+    @pytest.mark.parametrize("n, k, s", [
+        (5, 3, 2), (5, 3, 3), (6, 4, 3), (6, 3, 3), (7, 4, 2), (7, 4, 3), (6, 3, 4)])
+    def test_orbit_keys_name_the_orbits(self, n, k, s):
+        # Keys are constant on orbits and there are as many keys as orbits.
+        key = verification._orbit_key(CodeParams(n, k, 1, 2), s)
+        columns = colex_sorted(itertools.combinations(range(1, n + 1), k))
+        position = {c: j for j, c in enumerate(columns, 1)}
+        swap = {1: 2, 2: 1}
+        keys = set()
+        for neg in itertools.combinations(range(1, len(columns) + 1), s):
+            keys.add(key(neg))
+            image = tuple(sorted(position[tuple(sorted(swap.get(e, e) for e in columns[j - 1]))]
+                                 for j in neg))
+            assert key(image) == key(neg)
+        assert len(keys) == orbit_count(n, k, s)
+
+    def test_failure_keeps_the_first_counterexample(self):
+        params = CodeParams(8, 6, 2, 5)
+        verdict = verify_cover_free(materialize(params), 2, 5, construction=params)
+        assert not verdict.holds
+        assert verdict.counterexample == CoverFreeQuery((3, 8), (1, 2, 4, 5, 6))
+        assert verdict.orbits == 2
+
+    def test_other_matrices_use_the_full_walk(self):
+        params = CodeParams(5, 3, 2, 1)
+        m = materialize(params)
+        neg, pos = next(f for f, c in witness_counts(m.rows, m.num_cols, 2, 1) if c == 1)
+        row_index = next(i for i, r in enumerate(m.rows) if witness_count([r], neg, pos))
+        flipped = BitMatrix(m.num_rows, m.num_cols, list(m.rows))
+        flipped.set(row_index, pos[0] - 1, 0)
+        shuffled = BitMatrix(m.num_rows, m.num_cols, m.rows[::-1])
+        for matrix in (flipped, shuffled):
+            verdict = verify_cover_free(matrix, 2, 1, construction=params)
+            assert verdict.orbits is None
+            assert verdict == verify_cover_free(matrix, 2, 1)
+        assert not verify_cover_free(flipped, 2, 1, construction=params).holds
+        # Params naming a code of another shape, small or far larger.
+        for other in (CodeParams(5, 3, 2, 2), CodeParams(5, 2, 1, 2),
+                      CodeParams(10**6, 5 * 10**5, 2, 2)):
+            assert verify_cover_free(m, 2, 1, construction=other).orbits is None
 
 
 class TestWitnessCounts:
