@@ -10,6 +10,7 @@ colex ranks, so every entry can be answered without building the matrix.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -300,6 +301,11 @@ def dimensions(params: CodeParams) -> CodeDimensions:
     return CodeDimensions(num_rows, num_cols, column_weight, _rate(num_cols, num_rows))
 
 
+def column_masks(n: int, k: int) -> list[int]:
+    """The element bitmask (bit e for element e) of every k-subset of [n], in colex order."""
+    return [sum(1 << e for e in c) for c in colex_subsets(k, n)]
+
+
 def _families(member_bits: list[int], level: list[int], held: int, size: int,
               hi: int) -> Iterator[int]:
     """The ORs of the size-families of the first hi members, in colex order;
@@ -314,25 +320,19 @@ def construction_rows(params: CodeParams) -> Iterator[int]:
     """Every row of the matrix as a bit-packed int, in rank order, without
     holding the matrix.
 
-    A row is the OR of its members' column patterns. Rows are built level by
-    level with one OR each: a j-family whose last member is e is a
-    (j-1)-family of the first e-1 members plus e, and those (j-1)-families
-    are the first C(e-1, j-1) entries of level j-1. Levels up to
-    min(ell-1, C(n,s)-ell) are built as lists, none longer than the row
-    count, and only the last of them is kept; the levels above it are walked
-    as nested generators.
+    A member's column pattern is the AND of its elements' patterns, and a
+    row is the OR of its members' patterns. Rows are built level by level
+    with one OR each: a j-family whose last member is e is a (j-1)-family of
+    the first e-1 members plus e, and those (j-1)-families are the first
+    C(e-1, j-1) entries of level j-1. Levels up to min(ell-1, C(n,s)-ell) are
+    lists, none longer than the row count, and only the last is kept; the
+    levels above it are walked as nested generators.
     """
-    n, k, s, ell = params.n, params.k, params.s, params.ell
-    col_index = {c: j for j, c in enumerate(colex_subsets(k, n))}
-    # For every s-subset, in rank order, the pattern of the columns containing it.
-    member_bits = []
-    for sub in colex_subsets(s, n):
-        pattern = 0
-        others = [e for e in range(1, n + 1) if e not in sub]
-        for extra in itertools.combinations(others, k - s):
-            pattern |= 1 << col_index[tuple(sorted(sub + extra))]
-        member_bits.append(pattern)
-    m = len(member_bits)
+    masks = column_masks(params.n, params.k)
+    holding = BitMatrix(len(masks), params.n + 1, masks).columns()
+    member_bits = [functools.reduce(int.__and__, map(holding.__getitem__, sub))
+                   for sub in colex_subsets(params.s, params.n)]
+    m, ell = len(member_bits), params.ell
     held = min(ell - 1, m - ell)
     level = [0]
     for j in range(1, held + 1):

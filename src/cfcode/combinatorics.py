@@ -145,10 +145,15 @@ def colex_unrank(rank: int, m: int, n: int) -> KSubset:
 
 
 def colex_subsets(m: int, n: int) -> Iterator[tuple[int, ...]]:
-    """Yield every m-subset of [n] as a tuple, in colex (= rank) order."""
-    if m == 0:
-        yield ()
-        return
-    for top in range(m, n + 1):
-        for rest in colex_subsets(m - 1, top - 1):
-            yield rest + (top,)
+    """Yield every m-subset of [n] as a tuple, in colex (= rank) order: raise the
+    lowest element that can rise, reset those below to 1, 2, ... (TAOCP 7.2.1.3)."""
+    if m < 0 or n < 0:
+        raise ValueError(f"colex_subsets expects nonnegative arguments, got ({m}, {n})")
+    c = list(range(1, m + 1)) + [n + 1]  # n + 1 caps the top element
+    while m <= n and c[m] == n + 1:
+        yield tuple(c[:m])
+        j = 0
+        while j < m and c[j] + 1 == c[j + 1]:
+            c[j] = j + 1
+            j += 1
+        c[j] += 1  # at j == m this lifts the cap and ends the walk

@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .code_core import BitMatrix, CodeParams, RowLabel, _require_column, construction_rows
+from .code_core import (BitMatrix, CodeParams, RowLabel, _require_column, column_masks,
+                        construction_rows)
 from .combinatorics import KSubset, binomial, colex_subsets
 
 
@@ -129,7 +131,7 @@ def _orbit_key(params: CodeParams, s: int) -> Callable[[tuple[int, ...]], tuple[
     the family's k-subsets (its Venn vector), least over all orderings of the
     family. Two families with the same key are carried onto each other by a
     permutation of [n]."""
-    sets = [sum(1 << e for e in c) for c in colex_subsets(params.k, params.n)]
+    sets = column_masks(params.n, params.k)
     full = (1 << (params.n + 1)) - 2
     # Pattern v has bit i when the element lies in set i; reordering the sets
     # by sigma sends pattern w to the pattern with bit sigma(i) for bit i of w.
@@ -167,13 +169,15 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     The walk then scans only the first family of each orbit: a later one can
     beat neither the bound its orbit's first member set nor that member's
     place in colex order, so the verdict is the one the full walk gives.
+    Keys try all s! orderings, so orbit mode runs only when s! <= C(t, s).
     """
     _check_query_shape(matrix, s, ell)
+    t = matrix.num_cols
     orbit_key = seen = None
-    if construction is not None and _is_construction(matrix, construction):
+    if (construction is not None and math.factorial(s) <= binomial(t, s)
+            and _is_construction(matrix, construction)):
         orbit_key, seen = _orbit_key(construction, s), set()
     cols = matrix.columns()
-    t = len(cols)
     full = (1 << matrix.num_rows) - 1
     bound = matrix.num_rows + 1 if count_witnesses else 1
     least: CoverFreeQuery | None = None

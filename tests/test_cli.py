@@ -5,6 +5,7 @@ import math
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,6 +167,18 @@ class TestGen:
         run(capsys, "gen", "5", "3", "2", "2", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
 
+    def test_deep_columns_exit_0(self, capsys, tmp_path):
+        # k = 999: a column walk recursing once per element would overflow.
+        out_file = tmp_path / "deep.txt"
+        code, out, _ = run(capsys, "gen", "1000", "999", "1", "1", "--out", str(out_file))
+        assert code == 0 and out.endswith("1000x1000\n")
+        lines = out_file.read_text().splitlines()
+        assert lines[1] == "1000 1000" and len(lines) == 3 + 1000
+        # Column j leaves out element 1000 - j, so row i, member {i + 1}, is 0
+        # only at column 999 - i.
+        assert all(line.count("0") == 1 and line[999 - i] == "0"
+                   for i, line in enumerate(lines[3:]))
+
     def test_budget_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "5", "3", "2", "2",
                            "--out", str(tmp_path / "x.txt"), "--max-bits", "10")
@@ -326,6 +339,21 @@ class TestVerifyMode:
             assert payload["mode"] == ("orbit" if name == "x.txt" else "full")
         # The text report is the same in both modes.
         assert reports["x.txt"] == reports["bare.txt"] == reports["wrong.txt"]
+
+    def test_more_orderings_than_families_runs_in_full_mode(self, capsys, tmp_path):
+        # s = 8 on 10 columns: 8! = 40320 orderings per key, C(10,8) = 45 families.
+        path = tmp_path / "x.txt"
+        run(capsys, "gen", "5", "3", "2", "2", "--out", str(path))
+        bare = tmp_path / "bare.txt"
+        lines = self._lines(path)
+        bare.write_text("".join(lines[:2] + lines[3:]))
+        start = time.perf_counter()
+        code, payload, _ = self._verify_json(capsys, path, 8, 2)
+        assert time.perf_counter() - start < 2
+        assert payload["mode"] == "full" and payload["orbits"] is None
+        assert (code, payload) == self._verify_json(capsys, bare, 8, 2)[:2]
+        assert code == 1 and payload["counterexample"] == {"neg": list(range(1, 9)),
+                                                           "pos": [9, 10]}
 
     def test_invalid_header_runs_in_full_mode(self, capsys, tmp_path):
         path = tmp_path / "x.txt"

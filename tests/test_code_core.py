@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 import tracemalloc
 import warnings
 
@@ -22,6 +23,7 @@ from cfcode.code_core import (
     asymptotic_estimates,
     best_k,
     column_from_rank,
+    column_masks,
     column_rank,
     dimensions,
     entry,
@@ -304,6 +306,14 @@ class TestMaterialize:
         assert materialize(params).rows == construction_rows(*quad)
         assert list(code_core.construction_rows(params)) == construction_rows(*quad)
 
+    def test_long_single_row_is_quick(self):
+        # One row of C(200,198) = 19,900 bits: every column holds a member.
+        params = CodeParams(200, 198, 1, 200)
+        start = time.perf_counter()
+        m = materialize(params)
+        assert time.perf_counter() - start < 5
+        assert m.rows == [(1 << 19900) - 1]
+
     def test_rows_stream_without_the_matrix(self):
         # The stream holds one lower level of ORs, a fifth of the rows here.
         params = CodeParams(8, 6, 2, 5)
@@ -323,6 +333,14 @@ class TestMaterialize:
     def test_bit_budget_reports_sizes(self):
         with pytest.raises(BudgetError, match="450 bits.*100"):
             materialize(self.params, max_bits=100)
+
+
+class TestColumnMasks:
+    def test_match_reference_columns(self):
+        for n in range(1, 9):
+            for k in range(0, n + 2):
+                columns = colex_sorted(itertools.combinations(range(1, n + 1), k))
+                assert column_masks(n, k) == [sum(1 << e for e in c) for c in columns]
 
 
 class TestBitMatrix:

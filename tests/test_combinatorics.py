@@ -148,9 +148,22 @@ class TestColexUnrank:
 class TestColexSubsets:
     def test_matches_unrank(self):
         for n in range(0, 9):
-            for m in range(0, n + 1):
+            for m in range(0, n + 2):
                 expected = [colex_unrank(r, m, n).elements for r in range(binomial(n, m))]
                 assert list(colex_subsets(m, n)) == expected
+
+    @pytest.mark.parametrize("m, n", [(-1, 3), (2, -1), (-1, -1)])
+    def test_rejects_negative_arguments(self, m, n):
+        with pytest.raises(ValueError):
+            list(colex_subsets(m, n))
+
+    def test_deep_subsets_walk_without_recursion(self):
+        # A walk that recursed once per element would overflow the stack here.
+        subsets = list(colex_subsets(1099, 1100))
+        assert len(subsets) == 1100
+        assert subsets[0] == tuple(range(1, 1100))
+        assert subsets[-1] == tuple(range(2, 1101))
+        assert all(len(set(range(1, 1101)) - set(c)) == 1 for c in subsets[::100])
 
 
 def oracle_rank(elements):

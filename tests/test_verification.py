@@ -23,6 +23,7 @@ from cfcode.code_core import (
 )
 from cfcode.verification import (
     CoverFreeQuery,
+    Verdict,
     WitnessSearchError,
     verify_cover_free,
     witness_row,
@@ -231,6 +232,17 @@ class TestOrbitMode:
                                  for j in neg))
             assert key(image) == key(neg)
         assert len(keys) == orbit_count(n, k, s)
+
+    @pytest.mark.parametrize("s, orbit", [(5, True), (6, False)])
+    def test_keys_only_when_orderings_do_not_outnumber_families(self, s, orbit):
+        # On 10 columns 5! = 120 <= C(10,5) = 252, but 6! = 720 > C(10,6) = 210.
+        params = CodeParams(5, 3, 2, 2)
+        m = materialize(params)
+        verdict = verify_cover_free(m, s, 2, count_witnesses=True, construction=params)
+        assert (verdict.orbits is not None) is orbit
+        full = verify_cover_free(m, s, 2, count_witnesses=True)
+        assert verdict == Verdict(full.holds, full.counterexample, full.witness_count,
+                                  full.min_family, verdict.orbits)
 
     def test_failure_keeps_the_first_counterexample(self):
         params = CodeParams(8, 6, 2, 5)
