@@ -10,6 +10,7 @@ colex ranks, so every entry can be answered without building the matrix.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -237,11 +238,17 @@ def entry(params: CodeParams, row: RowLabel, col: KSubset) -> int:
     """The defining rule: 1 iff at least one row subset is contained in col."""
     _require_column(params, col)
     _require_row_label(params, row)
-    colset = set(col.elements)
+    elements = col.elements
     for member in row.subsets:
-        if all(e in colset for e in member.elements):
+        if all(_holds(elements, e) for e in member.elements):
             return 1
     return 0
+
+
+def _holds(elements: tuple[int, ...], e: int) -> bool:
+    """Whether the increasing tuple ``elements`` holds ``e``, by bisection."""
+    i = bisect.bisect_left(elements, e)
+    return i < len(elements) and elements[i] == e
 
 
 def row_label_from_rank(params: CodeParams, rank: int) -> RowLabel:
@@ -302,8 +309,23 @@ def dimensions(params: CodeParams) -> CodeDimensions:
 
 
 def column_masks(n: int, k: int) -> list[int]:
-    """The element bitmask (bit e for element e) of every k-subset of [n], in colex order."""
-    return [sum(1 << e for e in c) for c in colex_subsets(k, n)]
+    """The element bitmask (bit e for element e) of every k-subset of [n], in colex order.
+
+    Colex order of the masks is their numeric order, so each follows from the
+    one before by Gosper's rule: the top bit of the lowest run of ones moves
+    up one place and the rest of that run drops to bit 1.
+    """
+    if k > n:
+        return []
+    mask = ((1 << k) - 1) << 1
+    last = mask << (n - k)
+    masks = [mask]
+    while mask != last:
+        low = mask & -mask
+        raised = mask + low
+        mask = raised | ((raised ^ mask) >> low.bit_length() & ~1)
+        masks.append(mask)
+    return masks
 
 
 def _families(member_bits: list[int], level: list[int], held: int, size: int,

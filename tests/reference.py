@@ -1,12 +1,14 @@
 """Independent reference computations for the tests.
 
 Everything here works on plain row ints (bit j of a row is column j, as in
-``BitMatrix.rows``) and on tuples of 1-based elements or column positions.
-Nothing is imported from cfcode, so these checks share no code with the
-package's bulk transpose, scan kernel or closed forms.
+``BitMatrix.rows``), on tuples of 1-based elements or column positions, and
+on the text of matrix files. Nothing is imported from cfcode, so these
+checks share no code with the package's bulk transpose, scan kernel, closed
+forms or block-wise file I/O.
 """
 
 import itertools
+import re
 
 
 def colex_sorted(iterable):
@@ -99,3 +101,47 @@ def orbit_count(n, k, s):
             image = frozenset(frozenset(g.get(e, e) for e in c) for c in f)
             parent[root(image)] = root(f)
     return len({root(f) for f in families})
+
+
+def format_matrix(rows, num_cols, comments=()):
+    """The text of a matrix file, built one data line at a time: a line holds
+    a row's bits from column 0 up."""
+    lines = ["cfcode v1", f"{len(rows)} {num_cols}", *comments]
+    lines += ["".join(str(row >> j & 1) for j in range(num_cols)) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+def parse_matrix(text):
+    """Parse the text of a matrix file one line at a time, after translating
+    "\\r\\n" and "\\r" to "\\n". Returns ``(num_cols, rows, provenance)``.
+
+    Raises ValueError whose argument is the 1-based line a reader must report:
+    a line without its newline at once; then a bad magic or size line; then a
+    data line count that differs from the header, at the first data line; then
+    the first data line that is not exactly ``num_cols`` characters of 0 and 1.
+    """
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    if lines[-1]:
+        raise ValueError(len(lines))
+    lines.pop()
+    if not lines or lines[0] != "cfcode v1":
+        raise ValueError(1)
+    size = lines[1].split(" ") if len(lines) > 1 else []
+    if len(size) != 2 or not all(part.isdigit() for part in size):
+        raise ValueError(2)
+    num_rows, num_cols = int(size[0]), int(size[1])
+    provenance, first = None, 2
+    while first < len(lines) and lines[first].startswith("#"):
+        found = re.search(r"n=(\d+)\s+k=(\d+)\s+s=(\d+)\s+l=(\d+)", lines[first])
+        if found:
+            provenance = dict(zip(("n", "k", "s", "ell"), map(int, found.groups())))
+        first += 1
+    data = lines[first:]
+    if len(data) != num_rows:
+        raise ValueError(first + 1)
+    rows = []
+    for number, line in enumerate(data, first + 1):
+        if len(line) != num_cols or set(line) - {"0", "1"}:
+            raise ValueError(number)
+        rows.append(sum(1 << j for j, bit in enumerate(line) if bit == "1"))
+    return num_cols, rows, provenance
