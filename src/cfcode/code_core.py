@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -23,7 +23,7 @@ from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_u
 
 # Default cap on materialized matrix size, in bits.
 MATERIALIZE_BIT_BUDGET = 1 << 30
-# Rows per block of the bulk column transpose; bounds its scratch string.
+# Ints per block of the bulk transpose; bounds its scratch string.
 TRANSPOSE_BLOCK_ROWS = 2048
 
 
@@ -119,6 +119,8 @@ class RowLabel:
     """
 
     subsets: tuple[KSubset, ...]
+    # The members' colex ranks, in member order, kept for row_rank_from_label.
+    _ranks: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         members = tuple(self.subsets)
@@ -136,6 +138,7 @@ class RowLabel:
             if a == b:
                 raise ValueError("row label subsets must be pairwise distinct")
         object.__setattr__(self, "subsets", tuple(members[i] for _, i in ranked))
+        object.__setattr__(self, "_ranks", tuple(r for r, _ in ranked))
 
     def __len__(self) -> int:
         return len(self.subsets)
@@ -148,24 +151,45 @@ class RowLabel:
 
 
 class BitMatrix:
-    """Dense binary matrix, one bit-packed int per row (bit j = column j)."""
+    """Dense binary matrix held as bit-packed rows (bit j of row i is column
+    j), as bit-packed columns (bit i of column j is row i), or as both. It
+    keeps the orientation it was built from and derives the other once, on
+    first use, by one transpose."""
 
-    __slots__ = ("num_rows", "num_cols", "rows")
+    __slots__ = ("num_rows", "num_cols", "_rows", "_cols")
 
     def __init__(self, num_rows: int, num_cols: int, rows: Sequence[int] | None = None) -> None:
-        if num_rows < 0 or num_cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if rows is None:
-            rows = [0] * num_rows
-        if len(rows) != num_rows:
-            raise ValueError(f"expected {num_rows} rows, got {len(rows)}")
-        limit = 1 << num_cols
-        for i, r in enumerate(rows):
-            if not 0 <= r < limit:
-                raise ValueError(f"row {i} does not fit in {num_cols} columns")
+        self._rows = _packed([0] * num_rows if rows is None else rows,
+                             num_rows, num_cols, "row", "columns")
+        self._cols: list[int] | None = None
         self.num_rows = num_rows
         self.num_cols = num_cols
-        self.rows = list(rows)
+
+    @classmethod
+    def from_columns(cls, num_rows: int, num_cols: int, cols: Sequence[int]) -> "BitMatrix":
+        """The matrix whose column j is ``cols[j]`` (bit i = row i)."""
+        matrix = cls.__new__(cls)
+        matrix._cols = _packed(cols, num_cols, num_rows, "column", "rows")
+        matrix._rows = None
+        matrix.num_rows = num_rows
+        matrix.num_cols = num_cols
+        return matrix
+
+    @property
+    def rows(self) -> list[int]:
+        """Every row packed into an int (bit j = column j). The list is the
+        matrix's own: change bits through set(), which keeps both
+        orientations in step."""
+        if self._rows is None:
+            self._rows = _transpose(self._cols, self.num_rows)
+        return self._rows
+
+    def columns(self) -> list[int]:
+        """Every column packed into an int (bit i = row i); the matrix's own
+        list, as for ``rows``."""
+        if self._cols is None:
+            self._cols = _transpose(self._rows, self.num_cols)
+        return self._cols
 
     def _check_index(self, i: int, j: int) -> None:
         if not 0 <= i < self.num_rows:
@@ -175,28 +199,18 @@ class BitMatrix:
 
     def get(self, i: int, j: int) -> int:
         self._check_index(i, j)
-        return (self.rows[i] >> j) & 1
+        if self._rows is not None:
+            return (self._rows[i] >> j) & 1
+        return (self._cols[j] >> i) & 1
 
     def set(self, i: int, j: int, bit: int) -> None:
         self._check_index(i, j)
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
-        mask = 1 << j
-        self.rows[i] = (self.rows[i] & ~mask) | (bit << j)
-
-    def columns(self) -> list[int]:
-        """Every column packed into an int (bit i = row i). A block of rows,
-        last row first, is formatted as one string of binary numerals;
-        column j is its stride-``num_cols`` slice from ``num_cols - 1 - j``."""
-        t = self.num_cols
-        fmt = f"0{t}b"
-        cols = [0] * t
-        for start in range(0, self.num_rows, TRANSPOSE_BLOCK_ROWS):
-            block = self.rows[start:start + TRANSPOSE_BLOCK_ROWS]
-            bits = "".join([format(r, fmt) for r in reversed(block)])
-            for j in range(t):
-                cols[j] |= int(bits[t - 1 - j::t], 2) << start
-        return cols
+        if self._rows is not None:
+            self._rows[i] = (self._rows[i] & ~(1 << j)) | (bit << j)
+        if self._cols is not None:
+            self._cols[j] = (self._cols[j] & ~(1 << i)) | (bit << i)
 
     def column_sums(self) -> list[int]:
         return [c.bit_count() for c in self.columns()]
@@ -204,14 +218,45 @@ class BitMatrix:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return (self.num_rows == other.num_rows
-                and self.num_cols == other.num_cols
-                and self.rows == other.rows)
+        if (self.num_rows, self.num_cols) != (other.num_rows, other.num_cols):
+            return False
+        if self._rows is not None and other._rows is not None:
+            return self._rows == other._rows
+        return self.columns() == other.columns()
 
     __hash__ = None  # mutable
 
     def __repr__(self) -> str:
         return f"BitMatrix({self.num_rows}x{self.num_cols})"
+
+
+def _packed(ints: Sequence[int], count: int, width: int, what: str, unit: str) -> list[int]:
+    """``ints`` as a new list, checked to hold ``count`` nonnegative ints of
+    at most ``width`` bits each; no ``1 << width`` bound is built."""
+    if count < 0 or width < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
+    ints = list(ints)
+    if len(ints) != count:
+        raise ValueError(f"expected {count} {what}s, got {len(ints)}")
+    if ints and (min(ints) < 0 or max(ints).bit_length() > width):
+        i = next(i for i, v in enumerate(ints) if v < 0 or v.bit_length() > width)
+        raise ValueError(f"{what} {i} does not fit in {width} {unit}")
+    return ints
+
+
+def _transpose(ints: Sequence[int], width: int) -> list[int]:
+    """The ``width`` ints whose int j holds bit j of every one of ``ints``,
+    bit i from ``ints[i]``: rows to columns, or columns to rows. A block of
+    ints, last first, is formatted as one string of binary numerals; int j
+    is its stride-``width`` slice from ``width - 1 - j``."""
+    fmt = f"0{width}b"
+    out = [0] * width
+    for start in range(0, len(ints), TRANSPOSE_BLOCK_ROWS):
+        block = ints[start:start + TRANSPOSE_BLOCK_ROWS]
+        bits = "".join([format(v, fmt) for v in reversed(block)])
+        for j in range(width):
+            out[j] |= int(bits[width - 1 - j::width], 2) << start
+    return out
 
 
 def _require_column(params: CodeParams, col: KSubset) -> None:
@@ -268,7 +313,7 @@ def row_rank_from_label(params: CodeParams, row: RowLabel) -> int:
     """Inverse of row_label_from_rank."""
     _require_row_label(params, row)
     m = binomial(params.n, params.s)
-    index_subset = KSubset(tuple(colex_rank(member) + 1 for member in row.subsets), m)
+    index_subset = KSubset(tuple(r + 1 for r in row._ranks), m)
     return colex_rank(index_subset)
 
 
@@ -351,7 +396,7 @@ def construction_rows(params: CodeParams) -> Iterator[int]:
     levels above it are walked as nested generators.
     """
     masks = column_masks(params.n, params.k)
-    holding = BitMatrix(len(masks), params.n + 1, masks).columns()
+    holding = _transpose(masks, params.n + 1)
     member_bits = [functools.reduce(int.__and__, map(holding.__getitem__, sub))
                    for sub in colex_subsets(params.s, params.n)]
     m, ell = len(member_bits), params.ell
@@ -361,6 +406,38 @@ def construction_rows(params: CodeParams) -> Iterator[int]:
         level = [prev | member_bits[e - 1] for e in range(j, m + 1)
                  for prev in itertools.islice(level, math.comb(e - 1, j - 1))]
     return _families(member_bits, level, held, ell, m)
+
+
+def construction_columns(params: CodeParams) -> Iterator[int]:
+    """Every column of the matrix as a bit-packed int (bit i = row i), in
+    rank order, in closed form: no row is built.
+
+    Number the m = C(n,s) members 0, ..., m-1 in colex order. The family
+    e_1 < ... < e_ell is the row of rank sum C(e_i, i), so the families
+    whose largest member is h form the rank block [C(h,ell), C(h+1,ell)).
+    The rows holding member e at place i are then C(e,i) + x + y: the
+    places below give every x in [0, C(e,i-1)), and the places above give
+    the sums y of a set Y. With bit y set for each y in Y, those rows are a
+    run of C(e,i-1) ones times that int, shifted by C(e,i); all ranks are
+    distinct, so the product has no carries. Y for member e is Y for e+1
+    plus the place-(i+1) set for e+1 raised by C(e+1,i+1), so one pass down
+    the members builds every member's rows in a few big-int steps. A column
+    is the OR of the rows of the C(k,s) members it holds.
+    """
+    n, k, s, ell = params.n, params.k, params.s, params.ell
+    m = binomial(n, s)
+    # above[i] has bit y for each sum y the places above place i + 1 can give.
+    above = [0] * (ell - 1) + [1]
+    member_rows = [0] * m
+    for e in range(m - 1, -1, -1):
+        # The places hold disjoint rows, so the sum is their OR.
+        member_rows[e] = sum(((y << math.comb(e, i)) - y) << math.comb(e, i + 1)
+                             for i, y in enumerate(above))
+        for i in range(ell - 1):
+            above[i] |= above[i + 1] << math.comb(e, i + 2)
+    rows_of = dict(zip(colex_subsets(s, n), member_rows)).__getitem__
+    for col in colex_subsets(k, n):
+        yield functools.reduce(int.__or__, map(rows_of, itertools.combinations(col, s)))
 
 
 def materialize(params: CodeParams, *, max_bits: int = MATERIALIZE_BIT_BUDGET) -> BitMatrix:

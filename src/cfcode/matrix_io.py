@@ -22,6 +22,8 @@ from .code_core import BitMatrix, CodeParams
 MAGIC = "cfcode v1"
 # Characters of data lines moved per string operation when reading or writing.
 BLOCK_CHARS = 1 << 15
+# Characters per read call: a larger one holds several copies of its text at once.
+READ_CHARS = 1 << 13
 
 _PROVENANCE = re.compile(r"n=(\d+)\s+k=(\d+)\s+s=(\d+)\s+l=(\d+)")
 _NOT_DATA = str.maketrans("", "", "01\n")
@@ -68,19 +70,37 @@ def _line(fh: TextIO, number: int) -> str:
     return line
 
 
+def _read(fh: TextIO, size: int) -> str:
+    """The next ``size`` characters, fewer at the end of the file, read
+    READ_CHARS at a time and joined."""
+    pieces = []
+    while size > 0 and (piece := fh.read(min(size, READ_CHARS))):
+        pieces.append(piece)
+        size -= len(piece)
+    return "".join(pieces)
+
+
 def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
-    """Parse a matrix file; returns the matrix and any provenance parameters.
+    """Parse a matrix file straight into its columns; returns the matrix and
+    any provenance parameters.
 
     Header and comment lines are read one at a time, data lines a block of
-    about BLOCK_CHARS characters at a time, so only the rows' ints and one
-    block are held. A block is checked and parsed whole; only a block that
-    fails its check is split into lines, to name the offending one.
+    whole rows at a time: as many rows of t columns as fit in BLOCK_CHARS
+    characters, but at least ceil(t/2), so a block costs about two column
+    slices per row. A block is checked whole. Column j of it is then its
+    stride-(t+1) slice from the last row's character j back to the first
+    row's, so one int(., 2) puts the first row lowest, and it is ORed into
+    column j at the block's first row. Only the columns and one block are
+    held, and no column is allocated before a block has passed its check.
+    Only a block that fails its check is split into lines, to name the
+    offending one.
     Raises MatrixFormatError naming the first offending line; a data line
     count that does not match the header is reported at the first data line,
-    ahead of any malformed row.
+    ahead of any malformed row. A non-ASCII byte fails its line's check like
+    any other character out of place.
     """
     provenance: dict[str, int] | None = None
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         line = _line(fh, 1)
         if not line:
             raise MatrixFormatError("missing header", line=1)
@@ -97,6 +117,9 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         number = 2  # lines before the current block
         block = _line(fh, 3)
         while block.startswith("#"):
+            if not block.isascii():
+                raise MatrixFormatError(f"expected ASCII text, got {block[:-1]!r}",
+                                        line=number + 1)
             found = _PROVENANCE.search(block)
             if found:
                 provenance = {
@@ -109,9 +132,13 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
             block = _line(fh, number + 1)
         first_data = number + 1
         width = t + 1
-        # Whole rows per read; a row wider than the budget is finished by readline.
-        size = width * (BLOCK_CHARS // width) or BLOCK_CHARS
-        rows: list[int] = []
+        # Whole rows per block once the first data line has shown that rows of
+        # that width are really there; a block that ends inside a row is
+        # finished by readline.
+        size = (width * max(BLOCK_CHARS // width, (t + 1) // 2) if len(block) == width
+                else BLOCK_CHARS)
+        block += _read(fh, size)
+        cols = None
         bad = None
         while block:
             if block[-1] != "\n":
@@ -123,21 +150,27 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
             if bad is None:
                 if (len(block) == count * width and not block[t::width].strip("\n")
                         and not block.translate(_NOT_DATA)):
-                    # Reversed, the block lists the rows last first, each column 0 last.
-                    rows += ([int(p, 2) for p in block[::-1].split("\n")[:0:-1]]
-                             if t else [0] * count)
+                    if cols is None:
+                        cols = [0] * t
+                    last, start = len(block) - width, number + 1 - first_data
+                    for j in range(t):
+                        cols[j] |= int(block[last + j::-width], 2) << start
                 else:
                     i, text = next((i, text) for i, text in enumerate(block.split("\n"), 1)
                                    if len(text) != t or text.strip("01"))
                     bad = MatrixFormatError(
                         f"expected exactly {t} characters from {{0,1}}, got {text!r}",
                         line=number + i)
+                    size = BLOCK_CHARS  # the rest is only counted
             number += count
-            block = fh.read(size)
+            block = ""  # let go of this block's text before reading the next
+            block = _read(fh, size)
     found_rows = number + 1 - first_data
     if found_rows != num_rows:
         raise MatrixFormatError(
             f"expected {num_rows} data lines, found {found_rows}", line=first_data)
     if bad is not None:
         raise bad
-    return BitMatrix(num_rows, t, rows), provenance
+    if cols is None:  # no data lines
+        return BitMatrix(0, t), provenance
+    return BitMatrix.from_columns(num_rows, t, cols), provenance

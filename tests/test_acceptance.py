@@ -40,6 +40,7 @@ from cfcode.code_core import (
     asymptotic_estimates,
     column_from_rank,
     column_rank,
+    construction_columns,
     dimensions,
     entry,
     materialize,
@@ -392,6 +393,12 @@ def test_materialize_matches_reference_rows(grid, matrices):
     bad = [_fmt(p) for p in grid
            if matrices[p].rows != construction_rows(p.n, p.k, p.s, p.ell)]
     assert not bad, f"materialize differs from the per-row construction for {bad}"
+
+
+def test_construction_columns_match_materialize(grid, matrices):
+    bad = [_fmt(p) for p in grid
+           if list(construction_columns(p)) != matrices[p].columns()]
+    assert not bad, f"construction_columns differs from materialize for {bad}"
 
 
 def test_orbit_mode_matches_full_walk(grid, matrices, not_cover_free):

@@ -13,6 +13,7 @@ from reference import scan_summary, witness_count, witness_counts
 
 import cfcode
 from cfcode.cli import main
+from cfcode import code_core
 from cfcode.code_core import CodeParams, materialize
 from cfcode.matrix_io import read_matrix
 
@@ -271,6 +272,35 @@ class TestVerify:
         assert out.splitlines()[1] == (
             f"min witnesses {least} at neg {{{','.join(map(str, neg))}}} "
             f"pos {{{','.join(map(str, pos))}}}")
+
+
+    def test_non_ascii_byte_exit_2_with_line(self, capsys, tmp_path):
+        # The byte sits past the first block of 32 KiB of rows.
+        lines = ["cfcode v1", "8000 5"] + ["00000"] * 8000
+        lines[7001] = "00\xe900"
+        path = tmp_path / "bad.txt"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        code, _, err = run(capsys, "verify", str(path), "--s", "1", "--l", "1")
+        assert code == 2
+        assert err.startswith("error: line 7002: ")
+
+    def test_verifies_without_a_transpose(self, capsys, tmp_path, monkeypatch):
+        # The file is read straight into columns and compared with columns
+        # built in closed form, in orbit mode and in full mode alike.
+        path = tmp_path / "x.txt"
+        run(capsys, "gen", "8", "5", "2", "3", "--out", str(path))
+        bare = tmp_path / "bare.txt"
+        bare.write_text("".join(line for line in path.read_text().splitlines(keepends=True)
+                                if not line.startswith("#")))
+
+        def refuse(*args):
+            raise AssertionError("verify transposed a matrix")
+
+        monkeypatch.setattr(code_core, "_transpose", refuse)
+        for file, mode in ((path, "orbit"), (bare, "full")):
+            code, out, _ = run(capsys, "verify", str(file), "--s", "2", "--l", "2", "--json")
+            assert code == 0
+            assert json.loads(out)["mode"] == mode
 
 
 class TestVerifyMode:

@@ -306,6 +306,11 @@ class TestMaterialize:
         assert materialize(params).rows == construction_rows(*quad)
         assert list(code_core.construction_rows(params)) == construction_rows(*quad)
 
+    @pytest.mark.parametrize("quad", [(11, 5, 2, 3), (12, 6, 2, 2), (30, 29, 2, 2), (6, 4, 2, 13)])
+    def test_columns_in_closed_form_match_materialize(self, quad):
+        params = CodeParams(*quad)
+        assert list(code_core.construction_columns(params)) == materialize(params).columns()
+
     def test_long_single_row_is_quick(self):
         # One row of C(200,198) = 19,900 bits: every column holds a member.
         params = CodeParams(200, 198, 1, 200)
@@ -381,6 +386,76 @@ class TestBitMatrix:
     def test_rejects_wide_rows(self):
         with pytest.raises(ValueError):
             BitMatrix(1, 2, [4])
+
+    @pytest.mark.parametrize("num_rows,num_cols", [
+        (0, 0), (0, 4), (3, 0), (1, 1), (5, 3),
+        (TRANSPOSE_BLOCK_ROWS - 1, 5), (TRANSPOSE_BLOCK_ROWS, 7), (TRANSPOSE_BLOCK_ROWS + 1, 70),
+        (2 * TRANSPOSE_BLOCK_ROWS + 5, 11), (5, TRANSPOSE_BLOCK_ROWS + 1)])
+    def test_transpose_matches_reference_both_ways(self, num_rows, num_cols):
+        rng = random.Random(num_rows * 1000 + num_cols)
+        rows = [rng.getrandbits(num_cols) for _ in range(num_rows)]
+        cols = code_core._transpose(rows, num_cols)
+        assert cols == transpose(rows, num_cols)
+        assert code_core._transpose(cols, num_rows) == transpose(cols, num_rows) == rows
+
+    @pytest.mark.parametrize("num_rows,num_cols", [
+        (0, 0), (0, 4), (3, 0), (5, 3), (TRANSPOSE_BLOCK_ROWS + 1, 9)])
+    def test_from_columns_round_trips(self, num_rows, num_cols):
+        rng = random.Random(num_rows + num_cols)
+        cols = [rng.getrandbits(num_rows) for _ in range(num_cols)]
+        m = BitMatrix.from_columns(num_rows, num_cols, cols)
+        assert m.columns() == cols
+        assert m.rows == transpose(cols, num_rows)
+        assert BitMatrix(num_rows, num_cols, m.rows) == m
+        assert BitMatrix.from_columns(num_rows, num_cols, m.columns()) == m
+
+    def test_from_columns_reads_bits_without_rows(self):
+        m = BitMatrix.from_columns(3, 2, [0b101, 0b110])
+        assert [[m.get(i, j) for j in range(2)] for i in range(3)] == [[1, 0], [0, 1], [1, 1]]
+        assert m.column_sums() == [2, 2]
+        assert m.rows == [0b01, 0b10, 0b11]
+
+    def test_from_columns_rejects_bad_columns(self):
+        with pytest.raises(ValueError, match="column 1 does not fit in 2 rows"):
+            BitMatrix.from_columns(2, 2, [0b11, 0b100])
+        with pytest.raises(ValueError, match="column 0 does not fit"):
+            BitMatrix.from_columns(2, 1, [-1])
+        with pytest.raises(ValueError, match="expected 2 columns, got 1"):
+            BitMatrix.from_columns(3, 2, [0])
+        with pytest.raises(ValueError):
+            BitMatrix.from_columns(-1, 2, [0, 0])
+
+    def test_rows_are_read_only(self):
+        m = BitMatrix(2, 2)
+        with pytest.raises(AttributeError):
+            m.rows = [1, 1]
+
+    @pytest.mark.parametrize("build", ["rows", "columns"])
+    def test_set_keeps_both_orientations_in_step(self, build):
+        rng = random.Random(11)
+        rows = [rng.getrandbits(6) for _ in range(5)]
+        m = (BitMatrix(5, 6, rows) if build == "rows"
+             else BitMatrix.from_columns(5, 6, transpose(rows, 6)))
+        m.set(0, 0, 1)  # while the matrix holds one orientation
+        rows[0] |= 1
+        m.rows, m.columns()  # now it holds both
+        for i, j, bit in [(1, 2, 1), (4, 5, 0), (2, 0, 1), (1, 2, 0)]:
+            m.set(i, j, bit)
+            rows[i] = rows[i] & ~(1 << j) | bit << j
+            assert m.rows == rows
+            assert m.columns() == transpose(rows, 6)
+            assert m.get(i, j) == bit
+
+    def test_row_bound_builds_no_wide_int(self):
+        # A row bound of 1 << num_cols would take 10 MB here.
+        tracemalloc.start()
+        try:
+            m = BitMatrix(1, 80_000_000, [1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.rows == [1]
+        assert peak < 1 << 20
 
 
 class TestBestK:

@@ -3,7 +3,7 @@ import tracemalloc
 import warnings
 
 import pytest
-from reference import format_matrix, parse_matrix
+from reference import format_matrix, parse_matrix, transpose
 
 from cfcode.code_core import BitMatrix, CodeParams, ParameterWarning, materialize
 from cfcode.matrix_io import BLOCK_CHARS, MatrixFormatError, read_matrix, write_matrix
@@ -197,3 +197,51 @@ def test_comment_lines_then_data(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text(text)
     assert _read_as_reference(path, text).rows == rows
+
+
+def _rows_per_block(num_cols):
+    return max(BLOCK_CHARS // (num_cols + 1), (num_cols + 1) // 2)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1, "2R+1"])
+def test_blocks_of_half_the_width_read_as_reference(tmp_path, extra):
+    # At 462 columns a block holds ceil(t/2) = 231 rows, more than fit in BLOCK_CHARS.
+    r = _rows_per_block(462)
+    assert r == 231 > _block_rows(462)
+    num_rows = 2 * r + 1 if extra == "2R+1" else r + extra
+    rng = random.Random(num_rows)
+    rows = [rng.getrandbits(462) for _ in range(num_rows)]
+    text = format_matrix(rows, 462)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    matrix = _read_as_reference(path, text)
+    assert matrix.rows == rows
+    assert matrix.columns() == transpose(rows, 462)
+
+
+@pytest.mark.parametrize("where", ["data", "comment"])
+def test_non_ascii_byte_reports_its_line(tmp_path, where):
+    b = _rows_per_block(5)
+    lines = format_matrix([0] * (2 * b + 1), 5, comments=["# n=5 k=3 s=2 l=2"]).split("\n")
+    number = b + 7 if where == "data" else 3
+    lines[number - 1] = lines[number - 1][:2] + "\xe9" + lines[number - 1][3:]
+    path = tmp_path / "bad.txt"
+    path.write_bytes("\n".join(lines).encode("latin-1"))
+    with pytest.raises(MatrixFormatError) as err:
+        read_matrix(path)
+    assert err.value.line == number
+    assert str(err.value).startswith(f"line {number}: ")
+
+
+def test_zero_row_header_allocates_nothing_wide(tmp_path):
+    # The header's width is not trusted before a data line proves it.
+    path = tmp_path / "m.txt"
+    path.write_bytes(b"cfcode v1\n0 80000000\n")
+    tracemalloc.start()
+    try:
+        matrix, provenance = read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (matrix.num_rows, matrix.num_cols, matrix.rows, provenance) == (0, 80_000_000, [], None)
+    assert peak < 1 << 20
