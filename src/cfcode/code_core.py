@@ -14,6 +14,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,8 +24,10 @@ from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_u
 
 # Default cap on materialized matrix size, in bits.
 MATERIALIZE_BIT_BUDGET = 1 << 30
-# Ints per block of the bulk transpose; bounds its scratch string.
+# Ints per block, and bits per window of each, of the bulk transpose; together
+# they bound its scratch string.
 TRANSPOSE_BLOCK_ROWS = 2048
+TRANSPOSE_WINDOW_BITS = 4096
 
 
 class ParameterError(ValueError):
@@ -247,15 +250,20 @@ def _packed(ints: Sequence[int], count: int, width: int, what: str, unit: str) -
 def _transpose(ints: Sequence[int], width: int) -> list[int]:
     """The ``width`` ints whose int j holds bit j of every one of ``ints``,
     bit i from ``ints[i]``: rows to columns, or columns to rows. A block of
-    ints, last first, is formatted as one string of binary numerals; int j
-    is its stride-``width`` slice from ``width - 1 - j``."""
-    fmt = f"0{width}b"
+    ints, last first, is formatted one window of bits at a time as one
+    string of binary numerals; int j of the window is its stride slice from
+    the window's last place. The string holds at most
+    TRANSPOSE_BLOCK_ROWS * TRANSPOSE_WINDOW_BITS characters however wide the
+    ints are."""
     out = [0] * width
     for start in range(0, len(ints), TRANSPOSE_BLOCK_ROWS):
-        block = ints[start:start + TRANSPOSE_BLOCK_ROWS]
-        bits = "".join([format(v, fmt) for v in reversed(block)])
-        for j in range(width):
-            out[j] |= int(bits[width - 1 - j::width], 2) << start
+        block = ints[start:start + TRANSPOSE_BLOCK_ROWS][::-1]
+        for low in range(0, width, TRANSPOSE_WINDOW_BITS):
+            span = min(TRANSPOSE_WINDOW_BITS, width - low)
+            fmt, mask = f"0{span}b", (1 << span) - 1
+            bits = "".join([format(v >> low & mask, fmt) for v in block])
+            for j in range(span):
+                out[low + j] |= int(bits[span - 1 - j::span], 2) << start
     return out
 
 
@@ -408,6 +416,32 @@ def construction_rows(params: CodeParams) -> Iterator[int]:
     return _families(member_bits, level, held, ell, m)
 
 
+def _member_unions(rows: list[int], s: int, n: int, k: int) -> Iterator[int]:
+    """For each k-subset of [n], in colex order, the OR of ``rows[r]`` over
+    the s-subsets of rank r that it holds.
+
+    The k-subsets whose largest element is c are the (k-1)-subsets of [c-1]
+    plus c. Such a set holds the s-subsets of its (k-1)-subset, and c with
+    each of that subset's (s-1)-subsets, which are the s-subsets of rank
+    [C(c-1,s), C(c,s)). The (k-1)-subsets of [c-1] are the first C(c-1,k-1)
+    of [n-1], so one list of the (n-1, k-1) unions serves every c; the
+    levels below it are built the same way while it is, so at most about
+    C(n, k-1) unions are held at once. At k = s each set holds only itself.
+    """
+    if k == s:
+        return iter(rows[:math.comb(n, s)])
+    lower = list(_member_unions(rows, s, n - 1, k - 1))
+    if s == 1:
+        parts = (map(rows[c - 1].__or__, itertools.islice(lower, math.comb(c - 1, k - 1)))
+                 for c in range(k, n + 1))
+    else:
+        parts = (map(operator.or_, itertools.islice(lower, math.comb(c - 1, k - 1)),
+                     _member_unions(rows[math.comb(c - 1, s):math.comb(c, s)], s - 1, c - 1,
+                                    k - 1))
+                 for c in range(k, n + 1))
+    return itertools.chain.from_iterable(parts)
+
+
 def construction_columns(params: CodeParams) -> Iterator[int]:
     """Every column of the matrix as a bit-packed int (bit i = row i), in
     rank order, in closed form: no row is built.
@@ -422,7 +456,9 @@ def construction_columns(params: CodeParams) -> Iterator[int]:
     distinct, so the product has no carries. Y for member e is Y for e+1
     plus the place-(i+1) set for e+1 raised by C(e+1,i+1), so one pass down
     the members builds every member's rows in a few big-int steps. A column
-    is the OR of the rows of the C(k,s) members it holds.
+    is the OR of the rows of the C(k,s) members it holds, built by
+    _member_unions; besides the m member rows, at most about C(n, k-1)
+    partial columns are held.
     """
     n, k, s, ell = params.n, params.k, params.s, params.ell
     m = binomial(n, s)
@@ -430,14 +466,15 @@ def construction_columns(params: CodeParams) -> Iterator[int]:
     above = [0] * (ell - 1) + [1]
     member_rows = [0] * m
     for e in range(m - 1, -1, -1):
-        # The places hold disjoint rows, so the sum is their OR.
-        member_rows[e] = sum(((y << math.comb(e, i)) - y) << math.comb(e, i + 1)
-                             for i, y in enumerate(above))
-        for i in range(ell - 1):
-            above[i] |= above[i + 1] << math.comb(e, i + 2)
-    rows_of = dict(zip(colex_subsets(s, n), member_rows)).__getitem__
-    for col in colex_subsets(k, n):
-        yield functools.reduce(int.__or__, map(rows_of, itertools.combinations(col, s)))
+        row = 0
+        for i, y in enumerate(above):
+            high = math.comb(e, i + 1)
+            row |= ((y << math.comb(e, i)) - y) << high
+            if i:
+                # Members under e see e at this place: its sums raised by C(e, i+1).
+                above[i - 1] |= y << high
+        member_rows[e] = row
+    return _member_unions(member_rows, s, n, k)
 
 
 def materialize(params: CodeParams, *, max_bits: int = MATERIALIZE_BIT_BUDGET) -> BitMatrix:

@@ -17,7 +17,7 @@ import re
 from pathlib import Path
 from typing import TextIO
 
-from .code_core import BitMatrix, CodeParams
+from .code_core import TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams
 
 MAGIC = "cfcode v1"
 # Characters of data lines moved per string operation when reading or writing.
@@ -86,12 +86,15 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
 
     Header and comment lines are read one at a time, data lines a block of
     whole rows at a time: as many rows of t columns as fit in BLOCK_CHARS
-    characters, but at least ceil(t/2), so a block costs about two column
-    slices per row. A block is checked whole. Column j of it is then its
+    characters, but at least min(ceil(t/2), TRANSPOSE_BLOCK_ROWS), so a
+    block costs about two column slices per row up to t = 4096 and holds no
+    more than max(BLOCK_CHARS, TRANSPOSE_BLOCK_ROWS * (t+1)) characters. A
+    block is checked whole. Column j of it is then its
     stride-(t+1) slice from the last row's character j back to the first
     row's, so one int(., 2) puts the first row lowest, and it is ORed into
-    column j at the block's first row. Only the columns and one block are
-    held, and no column is allocated before a block has passed its check.
+    column j at the block's first row. Only the columns and one block's text
+    are held (two or three copies of it while it is read and checked), and
+    no column is allocated before a block has passed its check.
     Only a block that fails its check is split into lines, to name the
     offending one.
     Raises MatrixFormatError naming the first offending line; a data line
@@ -135,8 +138,8 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         # Whole rows per block once the first data line has shown that rows of
         # that width are really there; a block that ends inside a row is
         # finished by readline.
-        size = (width * max(BLOCK_CHARS // width, (t + 1) // 2) if len(block) == width
-                else BLOCK_CHARS)
+        size = (width * max(BLOCK_CHARS // width, min((t + 1) // 2, TRANSPOSE_BLOCK_ROWS))
+                if len(block) == width else BLOCK_CHARS)
         block += _read(fh, size)
         cols = None
         bad = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .code_core import (BitMatrix, CodeParams, RowLabel, _require_column, column_masks,
-                        construction_columns)
+                        construction_columns, construction_rows)
 from .combinatorics import KSubset, binomial, colex_subsets
 
 
@@ -113,8 +113,12 @@ def _first_least(masks: list[int], prefix: int, size: int, hi: int, bound: int,
 
 def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     """Whether the matrix equals the construction of ``params``, compared one
-    column at a time against construction_columns, so no second matrix is
-    held and the file's columns are used as read."""
+    column at a time against construction_columns, so the file's columns are
+    used as read. That stream holds the C(n,s) member rows and about
+    C(n,k-1) partial columns, ints as wide as a column; where those outnumber
+    the matrix's columns three to one, the matrix's rows are compared one at
+    a time against construction_rows instead: a transpose of the matrix,
+    and nothing larger than it."""
     n, k, s, ell = params.n, params.k, params.s, params.ell
     # C(n,k) >= n, and C(m,ell) >= m unless ell == m, so a header naming a
     # larger code is refused before any binomial grows past the matrix.
@@ -123,7 +127,9 @@ def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     m = binomial(n, s)
     if (ell < m and m > matrix.num_rows) or binomial(m, ell) != matrix.num_rows:
         return False
-    return all(map(operator.eq, matrix.columns(), construction_columns(params)))
+    if m + binomial(n, k - 1) <= 3 * matrix.num_cols:
+        return all(map(operator.eq, matrix.columns(), construction_columns(params)))
+    return all(map(operator.eq, matrix.rows, construction_rows(params)))
 
 
 def _orbit_key(params: CodeParams, s: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:

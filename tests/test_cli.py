@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,8 +14,8 @@ from reference import scan_summary, witness_count, witness_counts
 
 import cfcode
 from cfcode.cli import main
-from cfcode import code_core
-from cfcode.code_core import CodeParams, materialize
+from cfcode import code_core, verification
+from cfcode.code_core import CodeParams, ParameterWarning, materialize
 from cfcode.matrix_io import read_matrix
 
 
@@ -316,6 +317,23 @@ class TestVerifyMode:
     @staticmethod
     def _lines(path):
         return Path(path).read_text().splitlines(keepends=True)
+
+    def test_many_members_compare_rows_in_little_memory(self, capsys, tmp_path):
+        # (16,15,8,1) has 12,870 members but 16 columns: the members' rows
+        # alone would be about 10 MB, the matrix's rows about 0.5 MB.
+        path = tmp_path / "x.txt"
+        run(capsys, "gen", "16", "15", "8", "1", "--out", str(path))
+        matrix, _ = read_matrix(path)
+        with pytest.warns(ParameterWarning):
+            params = CodeParams(16, 15, 8, 1)
+        tracemalloc.start()
+        try:
+            same = verification._is_construction(matrix, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same
+        assert peak < 4 << 20
 
     def test_generated_file_runs_in_orbit_mode(self, capsys, tmp_path):
         path = tmp_path / "x.txt"

@@ -14,6 +14,7 @@ from cfcode import code_core
 from cfcode.combinatorics import KSubset, binomial, colex_rank
 from cfcode.code_core import (
     TRANSPOSE_BLOCK_ROWS,
+    TRANSPOSE_WINDOW_BITS,
     BitMatrix,
     BudgetError,
     CodeParams,
@@ -306,7 +307,8 @@ class TestMaterialize:
         assert materialize(params).rows == construction_rows(*quad)
         assert list(code_core.construction_rows(params)) == construction_rows(*quad)
 
-    @pytest.mark.parametrize("quad", [(11, 5, 2, 3), (12, 6, 2, 2), (30, 29, 2, 2), (6, 4, 2, 13)])
+    @pytest.mark.parametrize("quad", [(11, 5, 2, 3), (12, 6, 2, 2), (30, 29, 2, 2), (6, 4, 2, 13),
+                                      (9, 6, 3, 2), (8, 6, 4, 2), (7, 5, 3, 4)])
     def test_columns_in_closed_form_match_materialize(self, quad):
         params = CodeParams(*quad)
         assert list(code_core.construction_columns(params)) == materialize(params).columns()
@@ -374,29 +376,37 @@ class TestBitMatrix:
 
     def test_columns_match_reference_transpose(self):
         rng = random.Random(3)
-        sizes = [(0, 4), (1, 1), (5, 3), (TRANSPOSE_BLOCK_ROWS, 7),
-                 (2 * TRANSPOSE_BLOCK_ROWS + 5, 11), (TRANSPOSE_BLOCK_ROWS + 1, 70)]
+        sizes = [(0, 0), (0, 4), (3, 0), (1, 1), (5, 3), (TRANSPOSE_BLOCK_ROWS - 1, 5),
+                 (TRANSPOSE_BLOCK_ROWS, 7), (2 * TRANSPOSE_BLOCK_ROWS + 5, 11),
+                 (TRANSPOSE_BLOCK_ROWS + 1, 70), (5, TRANSPOSE_BLOCK_ROWS + 1),
+                 (3, 2 * TRANSPOSE_WINDOW_BITS + 1), (TRANSPOSE_WINDOW_BITS + 1, 2)]
         for num_rows, num_cols in sizes:
             m = BitMatrix(num_rows, num_cols,
                           [rng.getrandbits(num_cols) for _ in range(num_rows)])
             assert m.columns() == transpose(m.rows, num_cols)
             assert m.column_sums() == [
                 sum(r >> j & 1 for r in m.rows) for j in range(num_cols)]
+            # The other way round, the rows come back from the columns.
+            cols = m.columns()
+            assert code_core._transpose(cols, num_rows) == transpose(cols, num_rows) == m.rows
+
+    def test_rows_from_long_columns_hold_little_text(self):
+        # 64 columns of 50,000 rows: formatted whole, they would be 3.2 MB of
+        # text joined from 3.2 MB of pieces; the rows themselves take 2.2 MB.
+        rng = random.Random(5)
+        m = BitMatrix.from_columns(50_000, 64, [rng.getrandbits(50_000) for _ in range(64)])
+        tracemalloc.start()
+        try:
+            rows = m.rows
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[12_345] == sum((c >> 12_345 & 1) << j for j, c in enumerate(m.columns()))
+        assert peak < 5 << 20
 
     def test_rejects_wide_rows(self):
         with pytest.raises(ValueError):
             BitMatrix(1, 2, [4])
-
-    @pytest.mark.parametrize("num_rows,num_cols", [
-        (0, 0), (0, 4), (3, 0), (1, 1), (5, 3),
-        (TRANSPOSE_BLOCK_ROWS - 1, 5), (TRANSPOSE_BLOCK_ROWS, 7), (TRANSPOSE_BLOCK_ROWS + 1, 70),
-        (2 * TRANSPOSE_BLOCK_ROWS + 5, 11), (5, TRANSPOSE_BLOCK_ROWS + 1)])
-    def test_transpose_matches_reference_both_ways(self, num_rows, num_cols):
-        rng = random.Random(num_rows * 1000 + num_cols)
-        rows = [rng.getrandbits(num_cols) for _ in range(num_rows)]
-        cols = code_core._transpose(rows, num_cols)
-        assert cols == transpose(rows, num_cols)
-        assert code_core._transpose(cols, num_rows) == transpose(cols, num_rows) == rows
 
     @pytest.mark.parametrize("num_rows,num_cols", [
         (0, 0), (0, 4), (3, 0), (5, 3), (TRANSPOSE_BLOCK_ROWS + 1, 9)])

@@ -5,7 +5,9 @@ import warnings
 import pytest
 from reference import format_matrix, parse_matrix, transpose
 
-from cfcode.code_core import BitMatrix, CodeParams, ParameterWarning, materialize
+from cfcode import matrix_io
+from cfcode.code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterWarning,
+                              materialize)
 from cfcode.matrix_io import BLOCK_CHARS, MatrixFormatError, read_matrix, write_matrix
 
 
@@ -200,7 +202,7 @@ def test_comment_lines_then_data(tmp_path):
 
 
 def _rows_per_block(num_cols):
-    return max(BLOCK_CHARS // (num_cols + 1), (num_cols + 1) // 2)
+    return max(BLOCK_CHARS // (num_cols + 1), min((num_cols + 1) // 2, TRANSPOSE_BLOCK_ROWS))
 
 
 @pytest.mark.parametrize("extra", [-1, 0, 1, "2R+1"])
@@ -217,6 +219,23 @@ def test_blocks_of_half_the_width_read_as_reference(tmp_path, extra):
     matrix = _read_as_reference(path, text)
     assert matrix.rows == rows
     assert matrix.columns() == transpose(rows, 462)
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_wide_blocks_stop_at_transpose_block_rows(tmp_path, monkeypatch, extra):
+    # With a small cap, ceil(t/2) = 10 rows is cut to 4 per block.
+    monkeypatch.setattr(matrix_io, "BLOCK_CHARS", 1)
+    monkeypatch.setattr(matrix_io, "TRANSPOSE_BLOCK_ROWS", 4)
+    sizes = []
+    read = matrix_io._read
+    monkeypatch.setattr(matrix_io, "_read", lambda fh, size: sizes.append(size) or read(fh, size))
+    rng = random.Random(extra)
+    rows = [rng.getrandbits(20) for _ in range(8 + extra)]
+    text = format_matrix(rows, 20)
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    assert _read_as_reference(path, text).rows == rows
+    assert max(sizes) == 4 * 21
 
 
 @pytest.mark.parametrize("where", ["data", "comment"])
