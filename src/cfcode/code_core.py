@@ -17,7 +17,6 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_unrank
@@ -267,6 +266,20 @@ def _transpose(ints: Sequence[int], width: int) -> list[int]:
     return out
 
 
+def _block_rows(cols: Sequence[int], num_rows: int) -> Iterator[int]:
+    """The ``num_rows`` rows of the matrix with columns ``cols``, in order,
+    transposed TRANSPOSE_BLOCK_ROWS rows at a time, so only one block's rows
+    are held. Each column is cut into blocks through its bytes, which costs
+    one pass over it rather than a shift of the whole column per block."""
+    size = -(-num_rows // 8)
+    data = [c.to_bytes(size, "little") for c in cols]
+    step = TRANSPOSE_BLOCK_ROWS // 8
+    for start in range(0, size, step):
+        span = min(TRANSPOSE_BLOCK_ROWS, num_rows - 8 * start)
+        yield from _transpose([int.from_bytes(d[start:start + step], "little") for d in data],
+                              span)
+
+
 def _require_column(params: CodeParams, col: KSubset) -> None:
     if col.ground_size != params.n:
         raise ValueError(
@@ -342,7 +355,9 @@ def _rate(num_cols: int, num_rows: int) -> float:
     try:
         return log2_cols / num_rows
     except OverflowError:
-        # num_rows exceeds float range; scale through an exact fraction.
+        # num_rows exceeds float range; scale through an exact fraction. Only
+        # this branch needs fractions, so it is imported here, not at startup.
+        from fractions import Fraction
         return float(Fraction(log2_cols) / num_rows)
 
 

@@ -62,6 +62,16 @@ def write_matrix(matrix: BitMatrix, path: str | Path,
             fh.write(("\n" + "\n".join(lines))[::-1])
 
 
+def _decimal(digits: str, line: int) -> int:
+    """A run of decimal digits from line ``line`` as an int. Past the
+    interpreter's limit on digits converted (sys.set_int_max_str_digits),
+    a MatrixFormatError at that line."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise MatrixFormatError(str(exc), line=line) from None
+
+
 def _line(fh: TextIO, number: int) -> str:
     """The next line, with its newline; "" at the end of the file."""
     line = fh.readline()
@@ -116,7 +126,7 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         if len(parts) != 2 or not all(p.isdigit() for p in parts):
             raise MatrixFormatError(
                 f"expected '<rows> <cols>' in decimal, got {line[:-1]!r}", line=2)
-        num_rows, t = int(parts[0]), int(parts[1])
+        num_rows, t = _decimal(parts[0], 2), _decimal(parts[1], 2)
         number = 2  # lines before the current block
         block = _line(fh, 3)
         while block.startswith("#"):
@@ -125,12 +135,8 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
                                         line=number + 1)
             found = _PROVENANCE.search(block)
             if found:
-                provenance = {
-                    "n": int(found.group(1)),
-                    "k": int(found.group(2)),
-                    "s": int(found.group(3)),
-                    "ell": int(found.group(4)),
-                }
+                provenance = {key: _decimal(value, number + 1)
+                              for key, value in zip(("n", "k", "s", "ell"), found.groups())}
             number += 1
             block = _line(fh, number + 1)
         first_data = number + 1

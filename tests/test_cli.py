@@ -519,6 +519,16 @@ class TestModuleInvocation:
         assert proc.returncode == 0
         assert "N=45" in proc.stdout
 
+    def test_import_leaves_fractions_out(self):
+        # Only a rate past float range needs fractions; params imports it then.
+        code = ("import sys, cfcode.cli\n"
+                "assert 'fractions' not in sys.modules\n"
+                "cfcode.cli.main(['params', '1000', '500', '3', '200'])\n"
+                "assert 'fractions' in sys.modules\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "rate=0" in proc.stdout.split()
+
 
 class TestReadme:
     def test_library_example_runs(self):

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 import warnings
 
@@ -264,3 +265,22 @@ def test_zero_row_header_allocates_nothing_wide(tmp_path):
         tracemalloc.stop()
     assert (matrix.num_rows, matrix.num_cols, matrix.rows, provenance) == (0, 80_000_000, [], None)
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("size_line, comment, line", [
+    ("1 " + "9" * 5001, "", 2),
+    ("1 2", "# n=" + "9" * 5001 + " k=1 s=1 l=1\n", 3),
+])
+def test_number_past_the_digit_limit_reports_its_line(tmp_path, size_line, comment, line):
+    # Outside the CLI, int() refuses more digits than the interpreter's limit.
+    path = tmp_path / "bad.txt"
+    path.write_text(f"cfcode v1\n{size_line}\n{comment}01\n")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(MatrixFormatError) as err:
+            read_matrix(path)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: ")

@@ -15,6 +15,7 @@ from cfcode.code_core import (
     ParameterWarning,
     column_from_rank,
     column_rank,
+    construction_columns,
     dimensions,
     entry,
     materialize,
@@ -191,6 +192,77 @@ class TestKernelAgainstBruteForce:
         assert verdict.min_family == verdict.counterexample
 
 
+class TestGatheredKernel:
+    """Matrices of a few hundred to a few thousand rows, nearly all set on
+    their first columns: a negative family among those leaves a few rows
+    spread over the whole span, so the kernel gathers them before the scan."""
+
+    @pytest.fixture
+    def gathers(self, monkeypatch):
+        calls = []
+        gathered = verification._gathered
+
+        def counting_gather(cols, base):
+            calls.append(base.bit_count())
+            return gathered(cols, base)
+
+        monkeypatch.setattr(verification, "_gathered", counting_gather)
+        return calls
+
+    @staticmethod
+    def _matrices():
+        rng = random.Random(2026)
+        for trial in range(10):
+            num_rows = rng.randrange(300, 3000)
+            num_cols = rng.randrange(5, 8)
+            early = 1 + trial % 2
+            escape = rng.choice((0.003, 0.006, 0.01, 0.03))
+            density = rng.choice((0.5, 0.7, 0.9))
+            rows = [sum(1 << j for j in range(early) if rng.random() >= escape)
+                    | sum(1 << j for j in range(early, num_cols) if rng.random() < density)
+                    for _ in range(num_rows)]
+            yield BitMatrix(num_rows, num_cols, rows)
+
+    def test_verdicts_counterexamples_and_minima(self, gathers):
+        checked = tied = 0
+        for m in self._matrices():
+            for s in (1, 2):
+                for ell in (2, 3):
+                    if s + ell > m.num_cols:
+                        continue
+                    counts = list(witness_counts(m.rows, m.num_cols, s, ell))
+                    first_fail, least, least_family = scan_summary(m.rows, m.num_cols, s, ell)
+                    plain = verify_cover_free(m, s, ell)
+                    assert plain.holds == (first_fail is None)
+                    assert _as_pair(plain.counterexample) == first_fail
+                    counted = verify_cover_free(m, s, ell, count_witnesses=True)
+                    assert counted.holds == plain.holds
+                    assert _as_pair(counted.counterexample) == first_fail
+                    assert counted.witness_count == least
+                    assert _as_pair(counted.min_family) == least_family
+                    checked += 1
+                    tied += sum(c == least for _, c in counts) > 1
+        assert checked >= 30 and tied >= 10
+        # Gathers ran on bases of a few rows, from one row up.
+        assert len(gathers) > 50 and min(gathers) == 1
+
+    def test_first_failing_pair_is_colex_first(self, gathers):
+        # Column 1 is set on every row but three, two of them adjacent.
+        # Among those, columns 3 and 4 share no row, nor do 2 and 5:
+        # positions (1, 2) and (0, 3) of the rest both fail. Colex order puts
+        # (1, 2) first; lexicographic order, as combinations yields pairs,
+        # puts (0, 3) first.
+        rows = [0b11111] * 2000
+        rows[100], rows[1000], rows[1001] = 0b00110, 0b01010, 0b10100
+        m = BitMatrix(2000, 5, rows)
+        first_fail, _, _ = scan_summary(m.rows, 5, 1, 2)
+        assert first_fail == ((1,), (3, 4))
+        for count in (False, True):
+            verdict = verify_cover_free(m, 1, 2, count_witnesses=count)
+            assert verdict.counterexample == verdict.min_family == CoverFreeQuery((1,), (3, 4))
+        assert gathers == [3, 3]
+
+
 class TestOrbitMode:
     """A matrix equal to its construction scans one negative family per
     S_n orbit and gives the full walk's verdict."""
@@ -250,6 +322,21 @@ class TestOrbitMode:
         assert not verdict.holds
         assert verdict.counterexample == CoverFreeQuery((3, 8), (1, 2, 4, 5, 6))
         assert verdict.orbits == 2
+
+    def test_row_side_check_keeps_no_rows(self):
+        # (12,11,6,2) has 924 members for 12 columns, so the check compares
+        # rows, 426,426 of them: about 17 MB as ints, left to the scan if the
+        # matrix kept them. A bit cleared in the last row fails the check.
+        params = CodeParams(12, 11, 6, 2)
+        num_rows = dimensions(params).num_rows
+        cols = list(construction_columns(params))
+        flipped = list(cols)
+        flipped[5] &= ~(1 << (num_rows - 1))
+        for columns, mode in ((cols, 1), (flipped, None)):
+            m = BitMatrix.from_columns(num_rows, 12, columns)
+            verdict = verify_cover_free(m, 1, 1, construction=params)
+            assert verdict.holds and verdict.orbits == mode
+            assert m._rows is None
 
     def test_other_matrices_use_the_full_walk(self):
         params = CodeParams(5, 3, 2, 1)
