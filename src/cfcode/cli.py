@@ -29,15 +29,15 @@ from .code_core import (
     RowLabel,
     asymptotic_estimates,
     best_k,
+    budgeted_dimensions,
     column_from_rank,
     column_rank,
     dimensions,
     entry,
-    materialize,
     row_label_from_rank,
     row_rank_from_label,
 )
-from .matrix_io import MatrixFormatError, read_matrix, write_matrix
+from .matrix_io import MatrixFormatError, read_matrix, write_construction
 from .verification import WitnessSearchError, verify_cover_free, witness_row
 
 EXIT_OK = 0
@@ -112,9 +112,9 @@ def _cmd_params(args: argparse.Namespace) -> int:
 
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = CodeParams(args.n, args.k, args.s, args.l)
-    matrix = materialize(params, max_bits=args.max_bits)
-    write_matrix(matrix, args.out, params=params)
-    print(f"{args.out}: {matrix.num_rows}x{matrix.num_cols}")
+    dims = budgeted_dimensions(params, args.max_bits)
+    write_construction(params, args.out)
+    print(f"{args.out}: {dims.num_rows}x{dims.num_cols}")
     return EXIT_OK
 
 

@@ -492,18 +492,33 @@ def construction_columns(params: CodeParams) -> Iterator[int]:
     return _member_unions(member_rows, s, n, k)
 
 
+def columns_fit(params: CodeParams) -> bool:
+    """Whether construction_columns' working set, the C(n,s) member rows and
+    about C(n,k-1) partial columns, ints as wide as a column, is at most
+    three times the C(n,k) columns themselves. Elsewhere the construction is
+    better taken a row at a time from construction_rows."""
+    n, k = params.n, params.k
+    return binomial(n, params.s) + binomial(n, k - 1) <= 3 * binomial(n, k)
+
+
+def budgeted_dimensions(params: CodeParams, max_bits: int) -> CodeDimensions:
+    """dimensions(params), or BudgetError when the matrix has more than
+    ``max_bits`` bits."""
+    dims = dimensions(params)
+    needed = dims.num_rows * dims.num_cols
+    if needed > max_bits:
+        raise BudgetError(f"matrix needs {needed} bits, budget allows {max_bits}")
+    return dims
+
+
 def materialize(params: CodeParams, *, max_bits: int = MATERIALIZE_BIT_BUDGET) -> BitMatrix:
     """Build the full matrix, rows and columns in rank order.
 
     Refuses with BudgetError when the total bit count exceeds ``max_bits``;
     larger instances should be queried through entry() instead.
     """
-    dims = dimensions(params)
-    num_rows, num_cols = dims.num_rows, dims.num_cols
-    needed = num_rows * num_cols
-    if needed > max_bits:
-        raise BudgetError(f"matrix needs {needed} bits, budget allows {max_bits}")
-    return BitMatrix(num_rows, num_cols, list(construction_rows(params)))
+    dims = budgeted_dimensions(params, max_bits)
+    return BitMatrix(dims.num_rows, dims.num_cols, list(construction_rows(params)))
 
 
 def best_k(n: int, s: int, ell: int) -> tuple[int, int]:

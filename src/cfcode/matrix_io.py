@@ -13,20 +13,24 @@ generated file is byte-identical across runs and platforms.
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
-from typing import TextIO
+from typing import BinaryIO, Iterable, Iterator
 
-from .code_core import TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams
+from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, columns_fit,
+                        construction_columns, construction_rows, dimensions)
 
 MAGIC = "cfcode v1"
-# Characters of data lines moved per string operation when reading or writing.
+# Bytes of data lines moved per string operation when writing rows, and per
+# read call when reading.
 BLOCK_CHARS = 1 << 15
-# Characters per read call: a larger one holds several copies of its text at once.
-READ_CHARS = 1 << 13
+# The widest construction written from its columns. A block costs a format
+# and a stride assignment per column on that side and a format per row on
+# the other; the two sides took the same time between 224 and 288 columns.
+COLUMN_WRITE_MAX_COLS = 256
 
 _PROVENANCE = re.compile(r"n=(\d+)\s+k=(\d+)\s+s=(\d+)\s+l=(\d+)")
-_NOT_DATA = str.maketrans("", "", "01\n")
 
 
 class MatrixFormatError(ValueError):
@@ -41,25 +45,66 @@ class MatrixFormatError(ValueError):
 
 def write_matrix(matrix: BitMatrix, path: str | Path,
                  params: CodeParams | None = None) -> None:
-    """Write the matrix; a provenance comment is added when params is given.
+    """Write the matrix; a provenance comment is added when params is given."""
+    _write(path, matrix.num_rows, matrix.num_cols, params,
+           _row_blocks(matrix.rows, matrix.num_cols))
 
-    Data lines are written a block of about BLOCK_CHARS characters at a time:
-    the block's rows are formatted last row first and the joined string is
-    reversed once, which puts the rows in order with column 0 first.
-    """
-    t = matrix.num_cols
+
+def write_construction(params: CodeParams, path: str | Path) -> None:
+    """Write the matrix of ``params``, with its provenance comment, as it is
+    built: from construction_columns when it has at most
+    COLUMN_WRITE_MAX_COLS columns and columns_fit holds, otherwise from
+    construction_rows. No row list is held either way."""
+    dims = dimensions(params)
+    num_rows, t = dims.num_rows, dims.num_cols
+    if t <= COLUMN_WRITE_MAX_COLS and columns_fit(params):
+        blocks = _column_blocks(construction_columns(params), num_rows)
+    else:
+        blocks = _row_blocks(construction_rows(params), t)
+    _write(path, num_rows, t, params, blocks)
+
+
+def _write(path: str | Path, num_rows: int, t: int, params: CodeParams | None,
+           blocks: Iterable[bytes]) -> None:
+    header = f"{MAGIC}\n{num_rows} {t}\n"
+    if params is not None:
+        header += f"# n={params.n} k={params.k} s={params.s} l={params.ell}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.writelines(blocks)
+
+
+def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
+    """The data lines of ``rows``, a block of about BLOCK_CHARS bytes at a
+    time: the block's rows are formatted last row first and the joined
+    string is reversed once, which puts the rows in order with column 0
+    first."""
     fmt = f"0{t}b"
     step = max(1, BLOCK_CHARS // (t + 1))
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(MAGIC + "\n")
-        fh.write(f"{matrix.num_rows} {t}\n")
-        if params is not None:
-            fh.write(f"# n={params.n} k={params.k} s={params.s} l={params.ell}\n")
-        for start in range(0, matrix.num_rows, step):
-            block = matrix.rows[start:start + step]
-            # format() writes "0" even at width 0, so zero-column rows are set out as "".
-            lines = [format(r, fmt) for r in reversed(block)] if t else [""] * len(block)
-            fh.write(("\n" + "\n".join(lines))[::-1])
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, step)):
+        # format() writes "0" even at width 0, so zero-column rows are set out as "".
+        lines = [format(r, fmt) for r in reversed(block)] if t else [""] * len(block)
+        yield ("\n" + "\n".join(lines))[::-1].encode()
+
+
+def _column_blocks(cols: Iterable[int], num_rows: int) -> Iterator[bytearray]:
+    """The data lines of the matrix with columns ``cols``, TRANSPOSE_BLOCK_ROWS
+    rows at a time, with no row built. Each column is held as its bytes.
+    Column j's bits for a block are formatted once, last row first, and put
+    in place j of every line, from the last line back, by one stride
+    assignment: the slice read_matrix parses."""
+    data = [c.to_bytes(-(-num_rows // 8), "little") for c in cols]
+    width = len(data) + 1
+    step = TRANSPOSE_BLOCK_ROWS // 8
+    for start in range(0, num_rows, TRANSPOSE_BLOCK_ROWS):
+        span = min(TRANSPOSE_BLOCK_ROWS, num_rows - start)
+        fmt, last, at = f"0{span}b", (span - 1) * width, start // 8
+        buf = bytearray(b"\n" * (span * width))
+        for j, d in enumerate(data):
+            bits = int.from_bytes(d[at:at + step], "little")
+            buf[last + j::-width] = format(bits, fmt).encode()
+        yield buf
 
 
 def _decimal(digits: str, line: int) -> int:
@@ -72,33 +117,58 @@ def _decimal(digits: str, line: int) -> int:
         raise MatrixFormatError(str(exc), line=line) from None
 
 
-def _line(fh: TextIO, number: int) -> str:
-    """The next line, with its newline; "" at the end of the file."""
-    line = fh.readline()
-    if line and not line.endswith("\n"):
+def _text(data: bytes) -> str:
+    """Bytes of the file as text for a message or a header check: a byte
+    outside ASCII becomes a lone surrogate, one character out of place."""
+    return data.decode("ascii", "surrogateescape")
+
+
+def _line(fh: BinaryIO, number: int, head: bytes = b"") -> bytes:
+    """``head`` and the rest of its line from ``fh``, the line's end, which
+    is "\\n", "\\r\\n" or a lone "\\r", read as "\\n"; b"" at the end of
+    the file. A line the file ends inside is a MatrixFormatError at line
+    ``number``."""
+    pieces = [head]
+    while ahead := fh.peek(1):
+        text = ahead.split(b"\n", 1)[0].split(b"\r", 1)[0]
+        pieces.append(fh.read(len(text)))
+        if len(text) < len(ahead):
+            if fh.read(1) == b"\r" and fh.peek(1)[:1] == b"\n":
+                fh.read(1)
+            pieces.append(b"\n")
+            return b"".join(pieces)
+    if any(pieces):
         raise MatrixFormatError("missing final newline", line=number)
-    return line
+    return b""
 
 
-def _read(fh: TextIO, size: int) -> str:
-    """The next ``size`` characters, fewer at the end of the file, read
-    READ_CHARS at a time and joined."""
+def _read(fh: BinaryIO, size: int) -> bytes:
+    """The next ``size`` bytes, fewer at the end of the file, with each
+    "\\r\\n" and lone "\\r" read as "\\n"; a "\\r\\n" that ``size`` cuts is
+    read whole. They are read BLOCK_CHARS at a time and joined, so a block
+    takes memory only as the file fills it."""
     pieces = []
-    while size > 0 and (piece := fh.read(min(size, READ_CHARS))):
+    while size > 0 and (piece := fh.read(min(size, BLOCK_CHARS))):
         pieces.append(piece)
         size -= len(piece)
-    return "".join(pieces)
+    data = b"".join(pieces)
+    if b"\r" not in data:
+        return data
+    if data.endswith(b"\r") and fh.peek(1)[:1] == b"\n":
+        fh.read(1)
+    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
 
 
 def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     """Parse a matrix file straight into its columns; returns the matrix and
     any provenance parameters.
 
-    Header and comment lines are read one at a time, data lines a block of
-    whole rows at a time: as many rows of t columns as fit in BLOCK_CHARS
-    characters, but at least min(ceil(t/2), TRANSPOSE_BLOCK_ROWS), so a
+    The file is read as bytes, and "\\r\\n" and a lone "\\r" end a line as
+    "\\n" does. Header and comment lines are read one at a time, data lines
+    a block of whole rows at a time: as many rows of t columns as fit in
+    BLOCK_CHARS bytes, but at least min(ceil(t/2), TRANSPOSE_BLOCK_ROWS), so a
     block costs about two column slices per row up to t = 4096 and holds no
-    more than max(BLOCK_CHARS, TRANSPOSE_BLOCK_ROWS * (t+1)) characters. A
+    more than max(BLOCK_CHARS, TRANSPOSE_BLOCK_ROWS * (t+1)) bytes. A
     block is checked whole. Column j of it is then its
     stride-(t+1) slice from the last row's character j back to the first
     row's, so one int(., 2) puts the first row lowest, and it is ORed into
@@ -113,13 +183,13 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     any other character out of place.
     """
     provenance: dict[str, int] | None = None
-    with open(path, encoding="ascii", errors="surrogateescape") as fh:
-        line = _line(fh, 1)
+    with open(path, "rb") as fh:
+        line = _text(_line(fh, 1))
         if not line:
             raise MatrixFormatError("missing header", line=1)
         if line[:-1] != MAGIC:
             raise MatrixFormatError(f"expected header {MAGIC!r}, got {line[:-1]!r}", line=1)
-        line = _line(fh, 2)
+        line = _text(_line(fh, 2))
         if not line:
             raise MatrixFormatError("missing header", line=2)
         parts = line[:-1].split(" ")
@@ -129,11 +199,12 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         num_rows, t = _decimal(parts[0], 2), _decimal(parts[1], 2)
         number = 2  # lines before the current block
         block = _line(fh, 3)
-        while block.startswith("#"):
-            if not block.isascii():
-                raise MatrixFormatError(f"expected ASCII text, got {block[:-1]!r}",
+        while block.startswith(b"#"):
+            line = _text(block)
+            if not line.isascii():
+                raise MatrixFormatError(f"expected ASCII text, got {line[:-1]!r}",
                                         line=number + 1)
-            found = _PROVENANCE.search(block)
+            found = _PROVENANCE.search(line)
             if found:
                 provenance = {key: _decimal(value, number + 1)
                               for key, value in zip(("n", "k", "s", "ell"), found.groups())}
@@ -143,36 +214,33 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         width = t + 1
         # Whole rows per block once the first data line has shown that rows of
         # that width are really there; a block that ends inside a row is
-        # finished by readline.
+        # finished by _line.
         size = (width * max(BLOCK_CHARS // width, min((t + 1) // 2, TRANSPOSE_BLOCK_ROWS))
                 if len(block) == width else BLOCK_CHARS)
         block += _read(fh, size)
         cols = None
         bad = None
         while block:
-            if block[-1] != "\n":
-                block += fh.readline()
-                if block[-1] != "\n":
-                    raise MatrixFormatError(
-                        "missing final newline", line=number + block.count("\n") + 1)
-            count = block.count("\n")
+            if not block.endswith(b"\n"):
+                block = _line(fh, number + block.count(b"\n") + 1, block)
+            count = block.count(b"\n")
             if bad is None:
-                if (len(block) == count * width and not block[t::width].strip("\n")
-                        and not block.translate(_NOT_DATA)):
+                if (len(block) == count * width and not block[t::width].strip(b"\n")
+                        and not block.translate(None, b"01\n")):
                     if cols is None:
                         cols = [0] * t
                     last, start = len(block) - width, number + 1 - first_data
                     for j in range(t):
                         cols[j] |= int(block[last + j::-width], 2) << start
                 else:
-                    i, text = next((i, text) for i, text in enumerate(block.split("\n"), 1)
-                                   if len(text) != t or text.strip("01"))
+                    i, text = next((i, text) for i, text in enumerate(block.split(b"\n"), 1)
+                                   if len(text) != t or text.strip(b"01"))
                     bad = MatrixFormatError(
-                        f"expected exactly {t} characters from {{0,1}}, got {text!r}",
+                        f"expected exactly {t} characters from {{0,1}}, got {_text(text)!r}",
                         line=number + i)
                     size = BLOCK_CHARS  # the rest is only counted
             number += count
-            block = ""  # let go of this block's text before reading the next
+            block = b""  # let go of this block's text before reading the next
             block = _read(fh, size)
     found_rows = number + 1 - first_data
     if found_rows != num_rows:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .code_core import (BitMatrix, CodeParams, RowLabel, _block_rows, _require_column,
-                        column_masks, construction_columns, construction_rows)
+                        column_masks, columns_fit, construction_columns, construction_rows)
 from .combinatorics import KSubset, binomial, colex_subsets
 
 
@@ -161,11 +161,11 @@ def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     """Whether the matrix equals the construction of ``params``, compared one
     column at a time against construction_columns, so the file's columns are
     used as read. That stream holds the C(n,s) member rows and about
-    C(n,k-1) partial columns, ints as wide as a column; where those outnumber
-    the matrix's columns three to one, the matrix's rows are compared one at
-    a time against construction_rows instead. Those rows are transposed from
-    the columns a block at a time and let go of, so the matrix is not left
-    holding a second orientation for the scan."""
+    C(n,k-1) partial columns, ints as wide as a column; where columns_fit
+    finds those over three times the columns, the matrix's rows are compared
+    one at a time against construction_rows instead. Those rows are
+    transposed from the columns a block at a time and let go of, so the
+    matrix is not left holding a second orientation for the scan."""
     n, k, s, ell = params.n, params.k, params.s, params.ell
     # C(n,k) >= n, and C(m,ell) >= m unless ell == m, so a header naming a
     # larger code is refused before any binomial grows past the matrix.
@@ -174,7 +174,7 @@ def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     m = binomial(n, s)
     if (ell < m and m > matrix.num_rows) or binomial(m, ell) != matrix.num_rows:
         return False
-    if m + binomial(n, k - 1) <= 3 * matrix.num_cols:
+    if columns_fit(params):
         return all(map(operator.eq, matrix.columns(), construction_columns(params)))
     return all(map(operator.eq, _block_rows(matrix.columns(), matrix.num_rows),
                    construction_rows(params)))

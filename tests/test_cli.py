@@ -1,5 +1,6 @@
 import ast
 import contextlib
+import hashlib
 import json
 import math
 import re
@@ -14,7 +15,7 @@ from reference import scan_summary, witness_count, witness_counts
 
 import cfcode
 from cfcode.cli import main
-from cfcode import code_core, verification
+from cfcode import code_core, matrix_io, verification
 from cfcode.code_core import CodeParams, ParameterWarning, materialize
 from cfcode.matrix_io import read_matrix
 
@@ -180,6 +181,32 @@ class TestGen:
         # only at column 999 - i.
         assert all(line.count("0") == 1 and line[999 - i] == "0"
                    for i, line in enumerate(lines[3:]))
+
+    def test_narrow_file_written_from_columns(self, capsys, tmp_path, monkeypatch):
+        # (8,6,2,5) has 28 columns: gen writes it from its closed-form
+        # columns, and its bytes are pinned to those of the row writer.
+        def refuse(*args, **kwargs):
+            raise AssertionError("gen built rows")
+
+        for module in (code_core, matrix_io):
+            monkeypatch.setattr(module, "construction_rows", refuse)
+        monkeypatch.setattr(code_core, "materialize", refuse)
+        path = tmp_path / "x.txt"
+        code, out, _ = run(capsys, "gen", "8", "6", "2", "5", "--out", str(path))
+        assert code == 0 and out.endswith("98280x28\n")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "09e7868a1af1bb6f800fe068e317509578ab157f5bd3556e6572df053b668448")
+
+    def test_wide_file_streams_rows(self, capsys, tmp_path):
+        # (12,6,2,3) is 45,760 rows of 924 columns: about 7.2 MB as a row list.
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "gen", "12", "6", "2", "3", "--out", str(tmp_path / "x.txt"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2 << 20
 
     def test_budget_exit_3(self, capsys, tmp_path):
         code, _, err = run(capsys, "gen", "5", "3", "2", "2",

@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import colex_sorted, construction_rows, transpose
+from reference import colex_sorted, construction_rows, format_matrix, transpose
 
 from cfcode import code_core
 from cfcode.combinatorics import KSubset, binomial, colex_rank
@@ -32,6 +32,7 @@ from cfcode.code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
+from cfcode.matrix_io import write_construction
 from cfcode.verification import witness_row
 
 
@@ -300,12 +301,21 @@ class TestMaterialize:
                 assert m.get(i, j) == entry(self.params, row, col)
 
     # Past the acceptance grid's ell <= 3, with ell above half of C(n,s), so
-    # the upper levels of construction_rows are walked, not held.
-    @pytest.mark.parametrize("quad", [(5, 4, 1, 4), (5, 3, 2, 8), (6, 4, 2, 13), (6, 5, 2, 4)])
-    def test_matches_reference_rows(self, quad):
+    # the upper levels of construction_rows are walked, not held. The written
+    # file is checked too: (6,5,2,4) and (8,6,4,2) fail columns_fit, and
+    # (10,5,1,2) and (11,4,1,2), 252 and 330 columns, sit on either side of
+    # COLUMN_WRITE_MAX_COLS; (8,4,2,3) spans two column blocks.
+    @pytest.mark.parametrize("quad", [(5, 4, 1, 4), (5, 3, 2, 8), (6, 4, 2, 13), (6, 5, 2, 4),
+                                      (8, 6, 4, 2), (10, 5, 1, 2), (11, 4, 1, 2), (8, 4, 2, 3)])
+    def test_matches_reference_rows(self, quad, tmp_path):
         params = CodeParams(*quad)
-        assert materialize(params).rows == construction_rows(*quad)
-        assert list(code_core.construction_rows(params)) == construction_rows(*quad)
+        rows = construction_rows(*quad)
+        assert materialize(params).rows == rows
+        assert list(code_core.construction_rows(params)) == rows
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        comment = "# n={} k={} s={} l={}".format(*quad)
+        assert path.read_text() == format_matrix(rows, binomial(quad[0], quad[1]), [comment])
 
     @pytest.mark.parametrize("quad", [(11, 5, 2, 3), (12, 6, 2, 2), (30, 29, 2, 2), (6, 4, 2, 13),
                                       (9, 6, 3, 2), (8, 6, 4, 2), (7, 5, 3, 4)])

@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -180,14 +181,24 @@ def test_count_mismatch_beats_later_malformed_row(tmp_path):
     assert _read_as_reference(path, text).line == 4
 
 
-@pytest.mark.parametrize("bad", [None, 3])
-def test_crlf_line_endings(tmp_path, bad):
+@pytest.mark.parametrize("bad, ending", [
+    pytest.param(None, "\r\n", id="None"), pytest.param(3, "\r\n", id="3"),
+    pytest.param(None, "\r", id="None-cr"), pytest.param(3, "\r", id="3-cr"),
+    pytest.param(None, "mixed", id="None-mixed"), pytest.param(3, "mixed", id="3-mixed"),
+])
+def test_crlf_line_endings(tmp_path, bad, ending):
     b = _block_rows(5)
     rng = random.Random(2)
-    lines = format_matrix([rng.getrandbits(5) for _ in range(b + 7)], 5).split("\n")
+    lines = format_matrix([rng.getrandbits(5) for _ in range(b + 7)], 5).split("\n")[:-1]
     if bad is not None:
         lines[2 + b + bad] = "01"
-    text = "\r\n".join(lines)
+    ends = itertools.cycle(["\r\n", "\r", "\n"] if ending == "mixed" else [ending])
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if ending == "\r\n":
+        # The first block, whole rows of 6 characters after the first data
+        # line, ends between the "\r" and the "\n" of a 7-byte line.
+        cut = sum(len(line) + 2 for line in lines[:3]) + 6 * _rows_per_block(5)
+        assert text[cut - 1:cut + 1] == "\r\n"
     path = tmp_path / "m.txt"
     path.write_bytes(text.encode("ascii"))
     _read_as_reference(path, text)
@@ -239,11 +250,11 @@ def test_wide_blocks_stop_at_transpose_block_rows(tmp_path, monkeypatch, extra):
     assert max(sizes) == 4 * 21
 
 
-@pytest.mark.parametrize("where", ["data", "comment"])
+@pytest.mark.parametrize("where", ["data", "comment", "magic", "size"])
 def test_non_ascii_byte_reports_its_line(tmp_path, where):
     b = _rows_per_block(5)
     lines = format_matrix([0] * (2 * b + 1), 5, comments=["# n=5 k=3 s=2 l=2"]).split("\n")
-    number = b + 7 if where == "data" else 3
+    number = {"data": b + 7, "comment": 3, "magic": 1, "size": 2}[where]
     lines[number - 1] = lines[number - 1][:2] + "\xe9" + lines[number - 1][3:]
     path = tmp_path / "bad.txt"
     path.write_bytes("\n".join(lines).encode("latin-1"))
@@ -251,6 +262,17 @@ def test_non_ascii_byte_reports_its_line(tmp_path, where):
         read_matrix(path)
     assert err.value.line == number
     assert str(err.value).startswith(f"line {number}: ")
+    assert "\\udce9" in str(err.value)  # the byte, shown as the surrogate it decodes to
+
+
+@pytest.mark.parametrize("num_cols", [0, 3, 40])
+@pytest.mark.parametrize("num_rows", [0, 2047, 2048, 2049, 4097])
+def test_column_blocks_match_reference(num_rows, num_cols):
+    # Blocks of TRANSPOSE_BLOCK_ROWS = 2048 rows, the last one partial.
+    rng = random.Random(num_rows + num_cols)
+    rows = [rng.getrandbits(num_cols) for _ in range(num_rows)]
+    text = b"".join(matrix_io._column_blocks(transpose(rows, num_cols), num_rows)).decode()
+    assert text == format_matrix(rows, num_cols).split("\n", 2)[2]
 
 
 def test_zero_row_header_allocates_nothing_wide(tmp_path):
