@@ -4,8 +4,8 @@ Rows of a code instance are unordered families of ell distinct s-subsets of
 {1, ..., n}; columns are the k-subsets; an entry is 1 exactly when some family
 member is contained in the column. The package answers entry, row, and column
 queries by exact colex ranking without materializing anything, materializes
-desk-scale instances into bit matrices, and verifies the cover-free and
-constant-weight properties exhaustively.
+desk-scale instances into bit matrices, and verifies the cover-free property
+exhaustively.
 """
 
 from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_unrank

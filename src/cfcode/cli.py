@@ -44,15 +44,12 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-EXIT_INTERNAL = 4
+EXIT_NO_WITNESS = 4
 
 _SET_LITERAL = re.compile(r"\{[^{}]*\}")
 
 
 def _parse_set(text: str, ground: int) -> KSubset:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ValueError(f"expected a set literal like {{1,2,3}}, got {text!r}")
     body = text[1:-1].strip()
     if not body:
         raise ValueError("empty set literal")
@@ -223,7 +220,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_params_args(p)
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--max-bits", type=int, default=MATERIALIZE_BIT_BUDGET,
-                   help="memory budget for the dense matrix, in bits")
+                   help="bound on rows x columns, in bits, checked before anything "
+                        "is written")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("verify", help="exhaustively check the cover-free condition")
@@ -300,11 +298,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             return EXIT_BUDGET
         except WitnessSearchError as exc:
             print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INTERNAL
+            return EXIT_NO_WITNESS
         except (ValueError, IndexError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
 
-
-if __name__ == "__main__":
-    sys.exit(main())

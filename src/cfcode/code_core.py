@@ -17,7 +17,7 @@ import math
 import operator
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_unrank
 
@@ -266,18 +266,25 @@ def _transpose(ints: Sequence[int], width: int) -> list[int]:
     return out
 
 
-def _block_rows(cols: Sequence[int], num_rows: int) -> Iterator[int]:
-    """The ``num_rows`` rows of the matrix with columns ``cols``, in order,
-    transposed TRANSPOSE_BLOCK_ROWS rows at a time, so only one block's rows
-    are held. Each column is cut into blocks through its bytes, which costs
-    one pass over it rather than a shift of the whole column per block."""
-    size = -(-num_rows // 8)
-    data = [c.to_bytes(size, "little") for c in cols]
+def _column_tiles(cols: Iterable[int], num_rows: int) -> Iterator[tuple[int, list[int]]]:
+    """For each block of TRANSPOSE_BLOCK_ROWS rows of the matrix with columns
+    ``cols``, in order, the block's row count and every column's piece of it
+    (bit i = the block's row i). Each column is held as its bytes and cut
+    through them, which costs one pass over it rather than a shift of the
+    whole column per block."""
+    data = [c.to_bytes(-(-num_rows // 8), "little") for c in cols]
     step = TRANSPOSE_BLOCK_ROWS // 8
-    for start in range(0, size, step):
-        span = min(TRANSPOSE_BLOCK_ROWS, num_rows - 8 * start)
-        yield from _transpose([int.from_bytes(d[start:start + step], "little") for d in data],
-                              span)
+    for start in range(0, num_rows, TRANSPOSE_BLOCK_ROWS):
+        at = start // 8
+        yield (min(TRANSPOSE_BLOCK_ROWS, num_rows - start),
+               [int.from_bytes(d[at:at + step], "little") for d in data])
+
+
+def _block_rows(cols: Iterable[int], num_rows: int) -> Iterator[int]:
+    """The ``num_rows`` rows of the matrix with columns ``cols``, in order,
+    transposed a tile at a time, so only one block's rows are held."""
+    for span, pieces in _column_tiles(cols, num_rows):
+        yield from _transpose(pieces, span)
 
 
 def _require_column(params: CodeParams, col: KSubset) -> None:
@@ -426,8 +433,7 @@ def construction_rows(params: CodeParams) -> Iterator[int]:
     held = min(ell - 1, m - ell)
     level = [0]
     for j in range(1, held + 1):
-        level = [prev | member_bits[e - 1] for e in range(j, m + 1)
-                 for prev in itertools.islice(level, math.comb(e - 1, j - 1))]
+        level = list(_families(member_bits, level, j - 1, j, m))
     return _families(member_bits, level, held, ell, m)
 
 

@@ -18,8 +18,8 @@ import re
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, columns_fit,
-                        construction_columns, construction_rows, dimensions)
+from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, _column_tiles,
+                        columns_fit, construction_columns, construction_rows, dimensions)
 
 MAGIC = "cfcode v1"
 # Bytes of data lines moved per string operation when writing rows, and per
@@ -89,20 +89,16 @@ def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
 
 
 def _column_blocks(cols: Iterable[int], num_rows: int) -> Iterator[bytearray]:
-    """The data lines of the matrix with columns ``cols``, TRANSPOSE_BLOCK_ROWS
-    rows at a time, with no row built. Each column is held as its bytes.
-    Column j's bits for a block are formatted once, last row first, and put
-    in place j of every line, from the last line back, by one stride
-    assignment: the slice read_matrix parses."""
-    data = [c.to_bytes(-(-num_rows // 8), "little") for c in cols]
-    width = len(data) + 1
-    step = TRANSPOSE_BLOCK_ROWS // 8
-    for start in range(0, num_rows, TRANSPOSE_BLOCK_ROWS):
-        span = min(TRANSPOSE_BLOCK_ROWS, num_rows - start)
-        fmt, last, at = f"0{span}b", (span - 1) * width, start // 8
+    """The data lines of the matrix with columns ``cols``, one tile of
+    _column_tiles at a time, with no row built. Column j's piece of a block
+    is formatted once, last row first, and put in place j of every line,
+    from the last line back, by one stride assignment: the slice read_matrix
+    parses."""
+    for span, pieces in _column_tiles(cols, num_rows):
+        width = len(pieces) + 1
+        fmt, last = f"0{span}b", (span - 1) * width
         buf = bytearray(b"\n" * (span * width))
-        for j, d in enumerate(data):
-            bits = int.from_bytes(d[at:at + step], "little")
+        for j, bits in enumerate(pieces):
             buf[last + j::-width] = format(bits, fmt).encode()
         yield buf
 

@@ -247,21 +247,18 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
         for j in neg:
             base &= ~cols[j - 1]
         rest = [c for c in range(1, t + 1) if c not in neg]
-        if not base:
-            hit = 0, tuple(range(ell))
-        elif ell == 1:
-            # Each column is ANDed once; cutting it first would cost as much.
-            hit = _first_least([cols[c - 1] for c in rest], base, 1, len(rest), bound, ())
-        else:
+        masks, prefix = [cols[c - 1] for c in rest], base
+        # At ell == 1 each column is ANDed once; cutting it first would cost
+        # as much. A zero base settles the colex-first family at any level.
+        if ell >= 2 and base:
             # Each column is ANDed many times: cut it to the candidate rows,
             # and gather those rows together when they are sparse.
-            masks = [cols[c - 1] for c in rest]
             if base.bit_length() > GATHER_SPARSITY * base.bit_count():
                 masks, prefix = _gathered(masks, base), (1 << base.bit_count()) - 1
             else:
                 low = (base & -base).bit_length() - 1
                 masks, prefix = [(c & base) >> low for c in masks], base >> low
-            hit = _first_least(masks, prefix, ell, len(rest), bound, ())
+        hit = _first_least(masks, prefix, ell, len(rest), bound, ())
         if hit is not None:
             bound, positions = hit
             least = CoverFreeQuery(neg, tuple(rest[p] for p in positions))

@@ -15,8 +15,9 @@ from reference import scan_summary, witness_count, witness_counts
 
 import cfcode
 from cfcode.cli import main
-from cfcode import code_core, matrix_io, verification
-from cfcode.code_core import CodeParams, ParameterWarning, materialize
+from cfcode import cli, code_core, matrix_io, verification
+from cfcode.code_core import CodeParams, ParameterWarning, RowLabel, materialize
+from cfcode.combinatorics import KSubset
 from cfcode.matrix_io import read_matrix
 
 
@@ -46,6 +47,11 @@ class TestParams:
         code, out, _ = run(capsys, "params", "10", "0", "2", "2", "--best-k")
         assert code == 0
         assert "k_star=5" in out and "t_star=252" in out
+
+    def test_best_k_invalid_s_exit_2(self, capsys):
+        code, _, err = run(capsys, "params", "10", "0", "0", "2", "--best-k")
+        assert code == 2
+        assert "s >= 1" in err
 
     def test_invalid_parameters_exit_2(self, capsys):
         code, _, err = run(capsys, "params", "5", "5", "2", "2")
@@ -479,6 +485,18 @@ class TestEntry:
                          "--row", "1,2", "--col", "{1,2,3}")
         assert code == 2
 
+    @pytest.mark.parametrize("row,col,message", [
+        ("{}", "{1,2,3}", "empty set literal"),
+        ("{1,x}", "{1,2,3}", "non-integer element in '{1,x}'"),
+        ("{1,2}x", "{1,2,3}", "unexpected text outside set literals"),
+        (";", "{1,2,3}", "expected set literals"),
+        ("{1,2},{4,5}", "{1,2,3};{1,2,4}", "--col takes a single set literal"),
+    ])
+    def test_parse_errors_exit_2(self, capsys, row, col, message):
+        code, _, err = run(capsys, "entry", "5", "3", "2", "2", "--row", row, "--col", col)
+        assert code == 2
+        assert message in err
+
     def test_whitespace_tolerant(self, capsys):
         code, out, _ = run(capsys, "entry", "5", "3", "2", "2",
                            "--row", " {1, 2} , {4, 5} ", "--col", "{ 1,2,3 }")
@@ -506,6 +524,16 @@ class TestWitness:
                            "--neg", "{1,2,3}", "--pos", "{1,2,4};{1,3,4}")
         assert code == 4
         assert "no witness row exists" in err
+
+    def test_label_failing_its_check_exit_4(self, capsys, monkeypatch):
+        # {1,2} lies in the negative column {1,2,3}, so the row is 1 there.
+        bad = RowLabel((KSubset((1, 2), 5), KSubset((4, 5), 5)))
+        monkeypatch.setattr(cli, "witness_row", lambda *args: bad)
+        code, out, err = run(capsys, "witness", "5", "3", "2", "2",
+                             "--neg", "{1,2,3};{1,2,4}", "--pos", "{3,4,5};{1,4,5}")
+        assert code == 4
+        assert out == ""
+        assert "constructed witness failed entry validation" in err
 
     def test_shared_member_witness_at_large_n(self, capsys):
         # Both positives' only escaping pair is {2,3}, so no witness gives

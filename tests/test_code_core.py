@@ -199,6 +199,16 @@ class TestEntry:
         with pytest.raises(ValueError):
             entry(self.params, row, KSubset((1, 2, 3), 5))
 
+    def test_rejects_column_of_other_ground(self):
+        row = RowLabel((KSubset((1, 2), 5), KSubset((4, 5), 5)))
+        with pytest.raises(ValueError, match="does not match n=5"):
+            entry(self.params, row, KSubset((1, 2, 3), 6))
+
+    def test_rejects_row_label_of_wrong_length(self):
+        row = RowLabel((KSubset((1, 2), 5),))
+        with pytest.raises(ValueError, match="must have 2 subsets"):
+            entry(self.params, row, KSubset((1, 2, 3), 5))
+
     def test_single_member_specialization(self):
         # With one member per row the entry reduces to set containment.
         params = CodeParams(5, 3, 2, 1)
@@ -477,6 +487,13 @@ class TestBitMatrix:
         assert m.rows == [1]
         assert peak < 1 << 20
 
+    def test_equality_needs_a_matrix_of_the_same_shape(self):
+        m = BitMatrix(2, 3, [1, 2])
+        assert m != [1, 2]
+        assert not m == 5
+        # Equal row ints, but one more column.
+        assert m != BitMatrix(2, 4, [1, 2])
+
 
 class TestBestK:
     def test_even_ground(self):
@@ -484,6 +501,12 @@ class TestBestK:
 
     def test_tie_breaks_small(self):
         assert best_k(5, 2, 2) == (3, 10)
+
+    @pytest.mark.parametrize("s,ell,constraint", [(0, 2, "s >= 1"), (2, 0, "ell >= 1")])
+    def test_rejects_sizes_below_one(self, s, ell, constraint):
+        with pytest.raises(ParameterError) as err:
+            best_k(10, s, ell)
+        assert err.value.constraint == constraint
 
     def test_no_admissible_k(self):
         with pytest.raises(ParameterError):

@@ -76,6 +76,10 @@ class TestKSubset:
         with pytest.raises(ValueError):
             KSubset((0, 1), 5)
 
+    def test_rejects_negative_ground_size(self):
+        with pytest.raises(ValueError, match="ground size"):
+            KSubset((), -1)
+
 
 class TestColexRank:
     def test_known_ranks(self):

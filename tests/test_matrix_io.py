@@ -95,6 +95,14 @@ def test_missing_final_newline(tmp_path):
         read_matrix(path)
 
 
+def test_file_ending_after_magic_reports_missing_header(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("cfcode v1\n")
+    with pytest.raises(MatrixFormatError, match="missing header") as err:
+        read_matrix(path)
+    assert err.value.line == 2
+
+
 def test_empty_file(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("")

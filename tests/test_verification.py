@@ -393,6 +393,11 @@ class TestWitnessRow:
         assert set(member.elements) <= {3, 4, 5}
         assert 4 in member.elements or 5 in member.elements
 
+    def test_rejects_no_negative_columns(self):
+        pos = [KSubset((3, 4, 5), 5), KSubset((1, 4, 5), 5)]
+        with pytest.raises(ValueError, match="at least one negative column"):
+            witness_row(self.params, [], pos)
+
     def test_rejects_shared_column(self):
         with pytest.raises(ValueError):
             witness_row(self.params,
