@@ -2,9 +2,9 @@
 them, query single entries, and construct witness rows.
 
 Exit codes: 0 success (verify: property holds), 1 verify found a
-counterexample, 2 invalid parameters or malformed input, 3 memory budget
-exceeded, 4 witness search proved no witness exists. Data and reports go to
-stdout, diagnostics to stderr.
+counterexample, 2 invalid parameters or malformed input, 3 matrix larger than
+the bit budget (rows x columns), 4 witness search proved no witness exists.
+Data and reports go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_params)
 
-    p = sub.add_parser("gen", help="materialize the matrix into a text file")
+    p = sub.add_parser("gen", help="write the matrix to a text file as it is built")
     add_params_args(p)
     p.add_argument("--out", required=True, help="output file path")
     p.add_argument("--max-bits", type=int, default=MATERIALIZE_BIT_BUDGET,

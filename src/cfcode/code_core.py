@@ -42,7 +42,7 @@ class ParameterWarning(UserWarning):
 
 
 class BudgetError(RuntimeError):
-    """Materialization or a scan would exceed the configured budget."""
+    """The matrix has more bits, rows times columns, than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -403,64 +403,57 @@ def column_masks(n: int, k: int) -> list[int]:
     return masks
 
 
-def _families(member_bits: list[int], level: list[int], held: int, size: int,
-              hi: int) -> Iterator[int]:
-    """The ORs of the size-families of the first hi members, in colex order;
-    ``level`` lists those of all held-families."""
-    if size == held:
-        return itertools.islice(level, math.comb(hi, size))
-    return (prev | member_bits[e - 1] for e in range(size, hi + 1)
-            for prev in _families(member_bits, level, held, size - 1, e - 1))
-
-
 def construction_rows(params: CodeParams) -> Iterator[int]:
     """Every row of the matrix as a bit-packed int, in rank order, without
     holding the matrix.
 
     A member's column pattern is the AND of its elements' patterns, and a
-    row is the OR of its members' patterns. Rows are built level by level
-    with one OR each: a j-family whose last member is e is a (j-1)-family of
-    the first e-1 members plus e, and those (j-1)-families are the first
-    C(e-1, j-1) entries of level j-1. Levels up to min(ell-1, C(n,s)-ell) are
-    lists, none longer than the row count, and only the last is kept; the
-    levels above it are walked as nested generators.
+    row is the OR of its members' patterns. So the rows are _member_unions
+    with s = 1 over the C(n,s) members: each ell-subset of them, in colex
+    order, ORs the patterns of the members it holds. Its largest held
+    level, the unions of the (ell-1)-subsets of the first C(n,s)-1 members,
+    is rows * ell / C(n,s) long, below the row count, and the rows
+    themselves are streamed.
     """
     masks = column_masks(params.n, params.k)
     holding = _transpose(masks, params.n + 1)
     member_bits = [functools.reduce(int.__and__, map(holding.__getitem__, sub))
                    for sub in colex_subsets(params.s, params.n)]
-    m, ell = len(member_bits), params.ell
-    held = min(ell - 1, m - ell)
-    level = [0]
-    for j in range(1, held + 1):
-        level = list(_families(member_bits, level, j - 1, j, m))
-    return _families(member_bits, level, held, ell, m)
+    return _member_unions(member_bits, 1, len(member_bits), params.ell)
 
 
 def _member_unions(rows: list[int], s: int, n: int, k: int) -> Iterator[int]:
     """For each k-subset of [n], in colex order, the OR of ``rows[r]`` over
     the s-subsets of rank r that it holds.
 
-    The k-subsets whose largest element is c are the (k-1)-subsets of [c-1]
-    plus c. Such a set holds the s-subsets of its (k-1)-subset, and c with
+    The j-subsets whose largest element is c are the (j-1)-subsets of [c-1]
+    plus c. Such a set holds the s-subsets of its (j-1)-subset, and c with
     each of that subset's (s-1)-subsets, which are the s-subsets of rank
-    [C(c-1,s), C(c,s)). The (k-1)-subsets of [c-1] are the first C(c-1,k-1)
-    of [n-1], so one list of the (n-1, k-1) unions serves every c; the
-    levels below it are built the same way while it is, so at most about
-    C(n, k-1) unions are held at once. At k = s each set holds only itself.
+    [C(c-1,s), C(c,s)). Level j, for j = s, ..., k, is the unions of the
+    j-subsets of [n-k+j]: at j = s each set holds only itself, and the
+    (j-1)-subsets of [c-1] are the first C(c-1,j-1) entries of level j-1,
+    so one list of that level serves every c. Levels grow with j, so at
+    most two are alive at once, the largest held one C(n-1,k-1) long, and
+    the top level is streamed. The (s-1)-subset unions recurse on s alone,
+    to depth s + 1: at s = 0 every set holds the empty set once.
     """
-    if k == s:
-        return iter(rows[:math.comb(n, s)])
-    lower = list(_member_unions(rows, s, n - 1, k - 1))
-    if s == 1:
-        parts = (map(rows[c - 1].__or__, itertools.islice(lower, math.comb(c - 1, k - 1)))
-                 for c in range(k, n + 1))
-    else:
-        parts = (map(operator.or_, itertools.islice(lower, math.comb(c - 1, k - 1)),
-                     _member_unions(rows[math.comb(c - 1, s):math.comb(c, s)], s - 1, c - 1,
-                                    k - 1))
-                 for c in range(k, n + 1))
-    return itertools.chain.from_iterable(parts)
+    if s == 0:
+        return itertools.repeat(rows[0], math.comb(n, k))
+    level = iter(rows[:math.comb(n - k + s, s)])
+    for j in range(s + 1, k + 1):
+        level = _unions_by_top(rows, s, list(level), j, n - k + j)
+    return level
+
+
+def _unions_by_top(rows: list[int], s: int, lower: list[int], j: int,
+                   m: int) -> Iterator[int]:
+    """_member_unions' level j over [m], from ``lower``, the unions of the
+    (j-1)-subsets of [m-1]; a parameter, so a level already replaced in the
+    caller's loop is not read late."""
+    return itertools.chain.from_iterable(
+        map(operator.or_, itertools.islice(lower, math.comb(c - 1, j - 1)),
+            _member_unions(rows[math.comb(c - 1, s):math.comb(c, s)], s - 1, c - 1, j - 1))
+        for c in range(j, m + 1))
 
 
 def construction_columns(params: CodeParams) -> Iterator[int]:
@@ -478,8 +471,9 @@ def construction_columns(params: CodeParams) -> Iterator[int]:
     plus the place-(i+1) set for e+1 raised by C(e+1,i+1), so one pass down
     the members builds every member's rows in a few big-int steps. A column
     is the OR of the rows of the C(k,s) members it holds, built by
-    _member_unions; besides the m member rows, at most about C(n, k-1)
-    partial columns are held.
+    _member_unions, the routine construction_rows takes with s = 1;
+    besides the m member rows, its two live levels hold at most about
+    C(n-1,k-1) + C(n-2,k-2) <= C(n,k-1) partial columns.
     """
     n, k, s, ell = params.n, params.k, params.s, params.ell
     m = binomial(n, s)

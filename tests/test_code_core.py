@@ -311,12 +311,14 @@ class TestMaterialize:
                 assert m.get(i, j) == entry(self.params, row, col)
 
     # Past the acceptance grid's ell <= 3, with ell above half of C(n,s), so
-    # the upper levels of construction_rows are walked, not held. The written
-    # file is checked too: (6,5,2,4) and (8,6,4,2) fail columns_fit, and
-    # (10,5,1,2) and (11,4,1,2), 252 and 330 columns, sit on either side of
-    # COLUMN_WRITE_MAX_COLS; (8,4,2,3) spans two column blocks.
+    # construction_rows builds many levels, each held only while the next is
+    # built. (1000,999,1,999) builds 998 of them, one per member added. The
+    # written file is checked too: (6,5,2,4) and (8,6,4,2) fail columns_fit,
+    # and (10,5,1,2) and (11,4,1,2), 252 and 330 columns, sit on either side
+    # of COLUMN_WRITE_MAX_COLS; (8,4,2,3) spans two column blocks.
     @pytest.mark.parametrize("quad", [(5, 4, 1, 4), (5, 3, 2, 8), (6, 4, 2, 13), (6, 5, 2, 4),
-                                      (8, 6, 4, 2), (10, 5, 1, 2), (11, 4, 1, 2), (8, 4, 2, 3)])
+                                      (8, 6, 4, 2), (10, 5, 1, 2), (11, 4, 1, 2), (8, 4, 2, 3),
+                                      (1000, 999, 1, 999)])
     def test_matches_reference_rows(self, quad, tmp_path):
         params = CodeParams(*quad)
         rows = construction_rows(*quad)
