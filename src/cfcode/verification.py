@@ -90,54 +90,51 @@ def _check_query_shape(matrix: BitMatrix, s: int, ell: int) -> None:
             f"need s + ell <= {matrix.num_cols} columns, got {s} + {ell}")
 
 
-def _first_least(masks: list[int], prefix: int, size: int, hi: int, bound: int,
-                 chosen: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
-    """(count, positions) of the first family, in colex order, that adds
-    ``size`` positions below ``hi`` to ``chosen`` and whose AND of masks with
-    ``prefix`` has the fewest bits, fewer than ``bound``; None if there is
-    none. ``bound == 1`` asks only for a zero.
+def _first_least(masks: list[int], prefix: int, size: int, hi: int,
+                 bound: int) -> tuple[int, tuple[int, ...]] | None:
+    """(count, positions) of the first family of ``size`` positions below
+    ``hi``, in colex order, whose AND of masks with ``prefix`` has the
+    fewest bits, fewer than ``bound``; None if there is none. ``bound == 1``
+    asks only for a zero.
 
-    Above the pair level the AND is taken along the prefix, largest position
-    first, so a zero prefix settles its colex-first completion at once. The
-    last two levels run in C: the prefix is ANDed into the window once, and
-    one pass over all pairs of it tests for a zero or takes the least count.
-    Only when a pair under ``bound`` exists is the window walked in Python,
-    to find the colex-first pair with that count: larger position first,
-    whereas ``combinations`` yields pairs in lexicographic order."""
-    if size == 1:
-        window = masks[:hi]
-        if bound == 1:
-            least = 1 if all(map(prefix.__and__, window)) else 0
-        else:
-            least = min(map(int.bit_count, map(prefix.__and__, window)))
-        if least >= bound:
-            return None
-        p = next(i for i, m in enumerate(window) if (prefix & m).bit_count() == least)
-        return least, (p,) + chosen
-    if size == 2:
-        cut = list(map(prefix.__and__, masks[:hi]))
-        pairs = itertools.starmap(operator.and_, itertools.combinations(cut, 2))
-        if bound == 1:
-            if all(pairs):
-                return None
-            least = 0
-        else:
-            least = min(map(int.bit_count, pairs))
-            if least >= bound:
-                return None
-        return next((least, (i, p) + chosen) for p in range(1, hi) for i in range(p)
-                    if (cut[i] & cut[p]).bit_count() == least)
+    The lowest position (at size 1, the only one) or the lowest two are the
+    tail, taken in C. The positions above it, ``top``, step through colex
+    order as colex_subsets does: raise the lowest that can rise and reset
+    those below it. ``held[i]`` is the prefix ANDed with the masks at
+    ``top[i:]``, so a step ANDs only the positions it moved. Each step runs
+    one pass over the singles or pairs of the window below ``top[0]`` that
+    tests for a zero or takes the least count; a zero ``held`` fails at the
+    window's first family. Only a pass under ``bound`` walks the window in
+    Python, to find the colex-first family with that count."""
+    tail = min(size, 2)
+    up = size - tail
+    top = list(range(tail, size)) + [hi]  # hi caps the top position
+    held = [prefix] * (up + 1)
     found = None
-    for p in range(size - 1, hi):
-        q = prefix & masks[p]
-        if not q:
-            return 0, tuple(range(size - 1)) + (p,) + chosen
-        hit = _first_least(masks, q, size - 1, p, bound, (p,) + chosen)
-        if hit is not None:
-            found, bound = hit, hit[0]
+    moved = up
+    while True:
+        for i in range(moved - 1, -1, -1):
+            held[i] = held[i + 1] & masks[top[i]]
+        q, window = held[0], masks[:top[0]]
+        cut = map(q.__and__, window)
+        if tail == 2:
+            cut = itertools.starmap(operator.and_, itertools.combinations(list(cut), 2))
+        least = (1 if all(cut) else 0) if bound == 1 else min(map(int.bit_count, cut))
+        if least < bound:
+            family = next(f for f in colex_subsets(tail, len(window))
+                          if functools.reduce(int.__and__, [window[i - 1] for i in f],
+                                              q).bit_count() == least)
+            found, bound = (least, tuple(i - 1 for i in family) + tuple(top[:up])), least
             if not bound:
-                break
-    return found
+                return found
+        moved = 0
+        while moved < up and top[moved] + 1 == top[moved + 1]:
+            top[moved] = tail + moved
+            moved += 1
+        if moved == up:
+            return found
+        top[moved] += 1
+        moved += 1
 
 
 def _gathered(cols: list[int], base: int) -> list[int]:
@@ -249,7 +246,7 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
         rest = [c for c in range(1, t + 1) if c not in neg]
         masks, prefix = [cols[c - 1] for c in rest], base
         # At ell == 1 each column is ANDed once; cutting it first would cost
-        # as much. A zero base settles the colex-first family at any level.
+        # as much. A zero base fails at the colex-first family.
         if ell >= 2 and base:
             # Each column is ANDed many times: cut it to the candidate rows,
             # and gather those rows together when they are sparse.
@@ -258,7 +255,7 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
             else:
                 low = (base & -base).bit_length() - 1
                 masks, prefix = [(c & base) >> low for c in masks], base >> low
-        hit = _first_least(masks, prefix, ell, len(rest), bound, ())
+        hit = _first_least(masks, prefix, ell, len(rest), bound)
         if hit is not None:
             bound, positions = hit
             least = CoverFreeQuery(neg, tuple(rest[p] for p in positions))

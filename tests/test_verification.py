@@ -166,7 +166,7 @@ class TestKernelAgainstBruteForce:
         checked = empty_base = 0
         for m in self._matrices():
             for s in (1, 2, 3):
-                for ell in (1, 2, 3):
+                for ell in (1, 2, 3, 4, 5):
                     if s + ell > m.num_cols:
                         continue
                     first_fail, least, least_family = scan_summary(
@@ -182,6 +182,16 @@ class TestKernelAgainstBruteForce:
                     checked += 1
                     empty_base += bool(m.rows) and all(r & 1 for r in m.rows)
         assert checked > 500 and empty_base > 50
+
+    def test_deep_positive_family_fails_colex_first(self):
+        # Column 1 alone is set on row 0, the rest on row 1. Negative {1}
+        # leaves row 1, which every other column holds. Negative {2} leaves
+        # row 0 alone, so every positive family of 1,000 fails, and the
+        # verdict names the colex-first one.
+        m = BitMatrix.from_columns(2, 1002, [1] + [2] * 1001)
+        verdict = verify_cover_free(m, 1, 1000)
+        assert not verdict.holds and verdict.orbits is None
+        assert verdict.counterexample == CoverFreeQuery((2,), (1,) + tuple(range(3, 1002)))
 
     def test_zero_rows_fail_at_first_family(self):
         m = BitMatrix(0, 5, [])
@@ -278,16 +288,22 @@ class TestOrbitMode:
         scanned = []
         kernel = verification._first_least
 
-        def counting_kernel(masks, prefix, size, hi, bound, chosen):
-            if not chosen:
-                scanned.append(hi)
-            return kernel(masks, prefix, size, hi, bound, chosen)
+        def counting_kernel(masks, prefix, size, hi, bound):
+            scanned.append(hi)
+            return kernel(masks, prefix, size, hi, bound)
 
         monkeypatch.setattr(verification, "_first_least", counting_kernel)
         verdict = verify_cover_free(materialize(params), s, params.ell,
                                     construction=params)
         assert verdict.holds
         assert verdict.orbits == len(scanned) == orbits
+
+    def test_deep_positive_families(self):
+        # 998 positive columns of 999: the kernel steps 996 positions above
+        # its pair tail, with no recursion on ell.
+        params = CodeParams(1000, 999, 1, 1)
+        verdict = verify_cover_free(materialize(params), 1, 998, construction=params)
+        assert verdict.holds and verdict.orbits == 1
 
     @pytest.mark.parametrize("n, k, s", [
         (5, 3, 2), (5, 3, 3), (6, 4, 3), (6, 3, 3), (7, 4, 2), (7, 4, 3), (6, 3, 4)])
