@@ -69,8 +69,9 @@ class Verdict:
     family. When it is true and the run counted witnesses, ``witness_count``
     is the least number of witness rows over all families and ``min_family``
     the first family with that few; otherwise both are None. ``orbits`` is
-    the number of negative-family orbits scanned in orbit mode, None in full
-    mode.
+    None in full mode. In orbit mode it is the number of negative-family
+    types when the escaping-subset count decides, failing or not, and
+    otherwise the number of orbits scanned, up to the counterexample's.
     """
 
     holds: bool
@@ -177,29 +178,107 @@ def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
                    construction_rows(params)))
 
 
-def _orbit_key(params: CodeParams, s: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+def _venn_vectors(params: CodeParams) -> Callable[[tuple[int, ...]], list[int]]:
     """A function from a negative family (1-based column positions) to its
-    S_n orbit: the counts of the elements of [n] by membership pattern over
-    the family's k-subsets (its Venn vector), least over all orderings of the
-    family. Two families with the same key are carried onto each other by a
-    permutation of [n]."""
+    Venn vector: entry w counts the elements of [n] that lie in exactly the
+    family's k-subsets at the set bits of w."""
     sets = column_masks(params.n, params.k)
     full = (1 << (params.n + 1)) - 2
+
+    def venn(neg: tuple[int, ...]) -> list[int]:
+        regions = [full]
+        for j in neg:
+            a = sets[j - 1]
+            regions = [r & ~a for r in regions] + [r & a for r in regions]
+        return [r.bit_count() for r in regions]
+
+    return venn
+
+
+def _canonical(s: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """A function from a Venn vector over s sets to its least form over the
+    s! orderings of the sets: two families of distinct k-subsets of [n] have
+    the same form iff a permutation of [n] carries one onto the other. Empty
+    sets, as in a family still being built, trade places only with each
+    other, since the others hold k elements."""
     # Pattern v has bit i when the element lies in set i; reordering the sets
     # by sigma sends pattern w to the pattern with bit sigma(i) for bit i of w.
     reorders = [operator.itemgetter(*(sum((w >> i & 1) << p for i, p in enumerate(sigma))
                                       for w in range(1 << s)))
                 for sigma in itertools.permutations(range(s))]
+    return lambda counts: min([reorder(counts) for reorder in reorders])
 
-    def key(neg: tuple[int, ...]) -> tuple[int, ...]:
-        regions = [full]
-        for j in neg:
-            a = sets[j - 1]
-            regions = [r & ~a for r in regions] + [r & a for r in regions]
-        counts = [r.bit_count() for r in regions]
-        return min([reorder(counts) for reorder in reorders])
 
-    return key
+def _orbit_key(params: CodeParams, s: int) -> Callable[[tuple[int, ...]], tuple[int, ...]]:
+    """A function from a negative family of s columns to its S_n orbit: the
+    canonical form of its Venn vector."""
+    venn, canonical = _venn_vectors(params), _canonical(s)
+    return lambda neg: canonical(venn(neg))
+
+
+def _venn_types(n: int, k: int, s: int) -> list[tuple[int, ...]]:
+    """The canonical Venn vectors of the families of s distinct k-subsets of
+    [n], one per S_n orbit, built a set at a time; sets not yet added are
+    empty. Set j takes k elements from the regions of sets 0..j-1, and must
+    not lie inside an earlier set, which it would then equal."""
+    canonical = _canonical(s)
+    start = [n] + [0] * ((1 << s) - 1)
+    types = {canonical(start): start}
+    for j in range(s):
+        grown = {}
+        for counts in types.values():
+            regions = [w for w in range(1 << j) if counts[w]]
+            for split in _splits([counts[w] for w in regions], k):
+                if any(sum(c for w, c in zip(regions, split) if w >> i & 1) == k
+                       for i in range(j)):
+                    continue
+                vector = list(counts)
+                for w, c in zip(regions, split):
+                    vector[w] -= c
+                    vector[w | 1 << j] = c
+                grown.setdefault(canonical(vector), vector)
+        types = grown
+    return list(types)
+
+
+def _splits(caps: list[int], total: int) -> Iterator[tuple[int, ...]]:
+    """The tuples of ints from 0 to each cap that sum to total."""
+    if len(caps) == 1:
+        if total <= caps[0]:
+            yield (total,)
+        return
+    room = sum(caps[1:])
+    for c in range(max(0, total - room), min(caps[0], total) + 1):
+        for rest in _splits(caps[1:], total - c):
+            yield (c,) + rest
+
+
+def escaping_count(counts: Sequence[int], s: int) -> int:
+    """E: how many s-subsets of [n] lie in no set of a family, from its Venn
+    vector, as the sum over subfamilies I of (-1)^|I| C(|the meet of I|, s).
+    The meet of the sets at the bits of v holds each pattern w with v's bits."""
+    return sum((-1) ** v.bit_count() * math.comb(sum(c for w, c in enumerate(counts)
+                                                     if w & v == v), s)
+               for v in range(len(counts)))
+
+
+def _escaping_verdict(params: CodeParams, s: int, ell: int) -> Verdict:
+    """The verdict on the construction of ``params`` for ``s <= params.s``
+    and ``ell <= params.ell``. There negatives N and any positives have a
+    witness row iff E(N) >= params.ell: a positive column holds an element
+    outside each negative, and those, padded inside it, make an escaping
+    member; other escaping members fill the label. So the first failure is
+    the colex-first N with E(N) < params.ell and its first ``ell`` remaining
+    columns."""
+    types = _venn_types(params.n, params.k, s)
+    if min(escaping_count(counts, params.s) for counts in types) >= params.ell:
+        return Verdict(True, orbits=len(types))
+    venn = _venn_vectors(params)
+    neg = next(f for f in colex_subsets(s, binomial(params.n, params.k))
+               if escaping_count(venn(f), params.s) < params.ell)
+    pos = tuple(c for c in range(1, s + ell + 1) if c not in neg)[:ell]
+    failing = CoverFreeQuery(neg, pos)
+    return Verdict(False, failing, 0, failing, len(types))
 
 
 def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
@@ -218,16 +297,22 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     When the matrix equals the construction of ``construction`` (orbit
     mode), a permutation of [n] permutes its rows and its columns, so the
     negative families of one S_n orbit have the same least witness count.
-    The walk then scans only the first family of each orbit: a later one can
-    beat neither the bound its orbit's first member set nor that member's
-    place in colex order, so the verdict is the one the full walk gives.
-    Keys try all s! orderings, so orbit mode runs only when s! <= C(t, s).
+    When ``s`` and ``ell`` are at most the construction's and witnesses are
+    not counted, the escaping-subset count decides without a scan (see
+    _escaping_verdict): the types of s negative columns are enumerated, and
+    a colex walk runs only to name a failure. Otherwise the walk scans only
+    the first family of each orbit: a later one can beat neither the bound
+    its orbit's first member set nor that member's place in colex order, so
+    the verdict is the one the full walk gives. Canonical forms try all s!
+    orderings, so orbit mode runs only when s! <= C(t, s).
     """
     _check_query_shape(matrix, s, ell)
     t = matrix.num_cols
     orbit_key = seen = None
     if (construction is not None and math.factorial(s) <= binomial(t, s)
             and _is_construction(matrix, construction)):
+        if s <= construction.s and ell <= construction.ell and not count_witnesses:
+            return _escaping_verdict(construction, s, ell)
         orbit_key, seen = _orbit_key(construction, s), set()
     cols = matrix.columns()
     full = (1 << matrix.num_rows) - 1

@@ -48,7 +48,8 @@ from cfcode.code_core import (
     row_rank_from_label,
 )
 from cfcode.matrix_io import read_matrix
-from cfcode.verification import WitnessSearchError, verify_cover_free, witness_row
+from cfcode.verification import (WitnessSearchError, _venn_types, escaping_count,
+                                 verify_cover_free, witness_row)
 
 MAX_ROWS = 5000
 QUERIES_PER_SET = 1000
@@ -399,6 +400,14 @@ def test_construction_columns_match_materialize(grid, matrices):
     bad = [_fmt(p) for p in grid
            if list(construction_columns(p)) != matrices[p].columns()]
     assert not bad, f"construction_columns differs from materialize for {bad}"
+
+
+def test_least_escaping_count_over_types(grid):
+    # The least E over the enumerated types of s negatives is E_min, counted
+    # by brute force from its definition.
+    for n, k, s in sorted({(p.n, p.k, p.s) for p in grid}):
+        least = min(escaping_count(counts, s) for counts in _venn_types(n, k, s))
+        assert least == _min_escaping(n, k, s), (n, k, s)
 
 
 def test_orbit_mode_matches_full_walk(grid, matrices, not_cover_free):

@@ -277,26 +277,41 @@ class TestOrbitMode:
     """A matrix equal to its construction scans one negative family per
     S_n orbit and gives the full walk's verdict."""
 
-    @pytest.mark.parametrize("quad, s, orbits", [
-        # Two 3-subsets of [5] share 1 or 2 elements; two 4-subsets of [8]
-        # share 0 to 3, two 5-subsets of [8] 2 to 4; all columns are alike
-        # for s = 1.
-        ((5, 3, 2, 2), 2, 2), ((8, 4, 2, 2), 2, 4), ((8, 5, 2, 3), 2, 3),
-        ((6, 3, 1, 2), 1, 1)])
-    def test_one_family_per_orbit(self, quad, s, orbits, monkeypatch):
+    # Two 3-subsets of [5] share 1 or 2 elements; two 4-subsets of [8] share 0
+    # to 3, two 5-subsets of [8] 2 to 4; all columns are alike for s = 1.
+    OWN_SHAPES = [((5, 3, 2, 2), 2, 2), ((8, 4, 2, 2), 2, 4), ((8, 5, 2, 3), 2, 3),
+                  ((6, 3, 1, 2), 1, 1)]
+
+    @staticmethod
+    def _counted_run(quad, s, count, monkeypatch):
+        """The verdict at the code's own ell, and the calls it made to the
+        kernel, to the orbit-key builder and to the colex walk."""
         params = CodeParams(*quad)
-        scanned = []
-        kernel = verification._first_least
-
-        def counting_kernel(masks, prefix, size, hi, bound):
-            scanned.append(hi)
-            return kernel(masks, prefix, size, hi, bound)
-
-        monkeypatch.setattr(verification, "_first_least", counting_kernel)
+        calls = {}
+        for name in ("_first_least", "_orbit_key", "colex_subsets"):
+            log, real = calls.setdefault(name, []), getattr(verification, name)
+            monkeypatch.setattr(verification, name,
+                                lambda *args, log=log, real=real: log.append(args) or real(*args))
         verdict = verify_cover_free(materialize(params), s, params.ell,
-                                    construction=params)
+                                    count_witnesses=count, construction=params)
+        return verdict, calls
+
+    @pytest.mark.parametrize("quad, s, orbits", OWN_SHAPES)
+    def test_one_family_per_orbit(self, quad, s, orbits, monkeypatch):
+        # The escaping-subset count decides from the types alone: no kernel
+        # call, key or colex walk, and orbits is the type count.
+        verdict, calls = self._counted_run(quad, s, False, monkeypatch)
         assert verdict.holds
-        assert verdict.orbits == len(scanned) == orbits
+        assert verdict.orbits == orbits
+        assert calls == {"_first_least": [], "_orbit_key": [], "colex_subsets": []}
+
+    @pytest.mark.parametrize("quad, s, orbits", OWN_SHAPES)
+    def test_counting_scans_one_family_per_orbit(self, quad, s, orbits, monkeypatch):
+        # Counting witnesses keys the families and scans one per orbit.
+        verdict, calls = self._counted_run(quad, s, True, monkeypatch)
+        assert verdict.holds
+        assert verdict.orbits == len(calls["_first_least"]) == orbits
+        assert len(calls["_orbit_key"]) == 1
 
     def test_deep_positive_families(self):
         # 998 positive columns of 999: the kernel steps 996 positions above
@@ -320,6 +335,35 @@ class TestOrbitMode:
                                  for j in neg))
             assert key(image) == key(neg)
         assert len(keys) == orbit_count(n, k, s)
+        # The enumerated types are those keys, each once.
+        types = verification._venn_types(n, k, s)
+        assert len(types) == len(keys) and set(types) == keys
+
+    @pytest.mark.parametrize("n, k, s", [(5, 3, 2), (6, 3, 2), (6, 4, 3), (7, 4, 2)])
+    def test_escaping_count_matches_brute_force(self, n, k, s):
+        venn = verification._venn_vectors(CodeParams(n, k, s, 2))
+        columns = colex_sorted(itertools.combinations(range(1, n + 1), k))
+        subsets = [set(sub) for sub in itertools.combinations(range(1, n + 1), s)]
+        for size in (1, 2, 3):
+            for neg in itertools.combinations(range(1, len(columns) + 1), size):
+                sets = [set(columns[j - 1]) for j in neg]
+                escaping = sum(not any(sub <= c for c in sets) for sub in subsets)
+                assert verification.escaping_count(venn(neg), s) == escaping
+
+    @pytest.mark.parametrize("quad, s, ell", [((5, 3, 2, 2), 3, 2), ((6, 4, 2, 2), 2, 3)])
+    def test_escaping_rule_stays_in_its_scope(self, quad, s, ell):
+        # Past s <= params.s and ell <= params.ell every type still has
+        # E >= params.ell, yet the code is not (s, ell)-cover-free: orbit
+        # mode scans with the kernel there and gives the full walk's verdict.
+        params = CodeParams(*quad)
+        types = verification._venn_types(params.n, params.k, s)
+        assert min(verification.escaping_count(c, params.s) for c in types) >= params.ell
+        m = materialize(params)
+        full = verify_cover_free(m, s, ell)
+        orbit = verify_cover_free(m, s, ell, construction=params)
+        assert not full.holds and orbit.orbits is not None
+        assert orbit == Verdict(full.holds, full.counterexample, full.witness_count,
+                                full.min_family, orbit.orbits)
 
     @pytest.mark.parametrize("s, orbit", [(5, True), (6, False)])
     def test_keys_only_when_orderings_do_not_outnumber_families(self, s, orbit):
