@@ -19,7 +19,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .combinatorics import KSubset, binomial, colex_rank, colex_subsets, colex_unrank
+from .combinatorics import (KSubset, binomial, capped_binomial, colex_rank, colex_subsets,
+                            colex_unrank)
 
 # Default cap on materialized matrix size, in bits.
 MATERIALIZE_BIT_BUDGET = 1 << 30
@@ -72,15 +73,12 @@ class CodeParams:
             raise ParameterError("k < n", f"need k < n, got k={k}, n={n}")
         if ell < 1:
             raise ParameterError("ell >= 1", f"need ell >= 1, got ell={ell}")
-        # 0 < k < n gives C(n,k) >= n, so only ell + s >= n can reach the column count.
-        at_edge = False
-        if ell + s >= n:
-            t = binomial(n, k)
-            if ell + s > t:
-                raise ParameterError(
-                    "ell + s <= C(n,k)",
-                    f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
-            at_edge = ell + s == t
+        # C(n,k) is capped just past ell + s: exact wherever the messages show it.
+        t = capped_binomial(n, k, ell + s + 1)
+        if ell + s > t:
+            raise ParameterError(
+                "ell + s <= C(n,k)",
+                f"need ell + s <= C(n,k), got {ell}+{s} > C({n},{k})={t}")
         # 0 < s < n gives C(n,s) >= n, so only ell > n can exceed the member count.
         if ell > n:
             _require_members(n, s, ell)
@@ -88,7 +86,7 @@ class CodeParams:
         if ell == 1:
             warnings.warn(ParameterWarning(
                 f"ell=1 is the degenerate single-subset case for {self}"), stacklevel=3)
-        elif at_edge:
+        elif ell + s == t:
             warnings.warn(ParameterWarning(
                 f"ell + s equals the column count C({n},{k})={t}; "
                 f"{self} sits at the edge of the usable range"), stacklevel=3)
@@ -96,7 +94,7 @@ class CodeParams:
 
 def _require_members(n: int, s: int, ell: int) -> None:
     # A row label holds ell distinct s-subsets of [n], so past C(n,s) no row exists.
-    m = binomial(n, s)
+    m = capped_binomial(n, s, ell)
     if ell > m:
         raise ParameterError(
             "ell <= C(n,s)", f"need ell <= C(n,s), got ell={ell} > C({n},{s})={m}")

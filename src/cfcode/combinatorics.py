@@ -24,6 +24,21 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def capped_binomial(n: int, k: int, cap: int) -> int:
+    """Return min(C(n, k), cap) for n, k, cap >= 0 without building a C(n, k)
+    past cap: C(n, i) is built upward over i <= min(k, n - k), where it does
+    not decrease, and the walk stops once it reaches cap. It stops within
+    about log2(cap) steps, since C(n, i) >= 2**i there."""
+    if k > n:
+        return 0
+    value = 1
+    for i in range(min(k, n - k)):
+        if value >= cap:
+            break
+        value = value * (n - i) // (i + 1)
+    return min(value, cap)
+
+
 @dataclass(frozen=True)
 class KSubset:
     """A strictly increasing tuple of elements of {1, ..., ground_size}."""

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import re
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterable, Iterator, TextIO
 
 from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, _column_tiles,
                         columns_fit, construction_columns, construction_rows, dimensions)
@@ -115,62 +115,56 @@ def _decimal(digits: str, line: int) -> int:
 
 def _text(data: bytes) -> str:
     """Bytes of the file as text for a message or a header check: a byte
-    outside ASCII becomes a lone surrogate, one character out of place."""
+    outside ASCII is the lone surrogate the reader decoded it to, one
+    character out of place."""
     return data.decode("ascii", "surrogateescape")
 
 
-def _line(fh: BinaryIO, number: int, head: bytes = b"") -> bytes:
-    """``head`` and the rest of its line from ``fh``, the line's end, which
-    is "\\n", "\\r\\n" or a lone "\\r", read as "\\n"; b"" at the end of
-    the file. A line the file ends inside is a MatrixFormatError at line
-    ``number``."""
-    pieces = [head]
-    while ahead := fh.peek(1):
-        text = ahead.split(b"\n", 1)[0].split(b"\r", 1)[0]
-        pieces.append(fh.read(len(text)))
-        if len(text) < len(ahead):
-            if fh.read(1) == b"\r" and fh.peek(1)[:1] == b"\n":
-                fh.read(1)
-            pieces.append(b"\n")
-            return b"".join(pieces)
-    if any(pieces):
+def _bytes(text: str) -> bytes:
+    """Text read from the file back as its bytes, for checks and slices."""
+    return text.encode("ascii", "surrogateescape")
+
+
+def _line(fh: TextIO, number: int, head: bytes = b"") -> bytes:
+    """``head`` and the rest of its line from ``fh``, as bytes; b"" at the
+    end of the file. A line the file ends inside is a MatrixFormatError at
+    line ``number``."""
+    line = head + _bytes(fh.readline())
+    if line and not line.endswith(b"\n"):
         raise MatrixFormatError("missing final newline", line=number)
-    return b""
+    return line
 
 
-def _read(fh: BinaryIO, size: int) -> bytes:
-    """The next ``size`` bytes, fewer at the end of the file, with each
-    "\\r\\n" and lone "\\r" read as "\\n"; a "\\r\\n" that ``size`` cuts is
-    read whole. They are read BLOCK_CHARS at a time and joined, so a block
+def _read(fh: TextIO, size: int) -> bytes:
+    """The next ``size`` characters as bytes, fewer at the end of the file.
+    They are read and encoded BLOCK_CHARS at a time and joined, so a block
     takes memory only as the file fills it."""
     pieces = []
     while size > 0 and (piece := fh.read(min(size, BLOCK_CHARS))):
-        pieces.append(piece)
+        pieces.append(_bytes(piece))
         size -= len(piece)
-    data = b"".join(pieces)
-    if b"\r" not in data:
-        return data
-    if data.endswith(b"\r") and fh.peek(1)[:1] == b"\n":
-        fh.read(1)
-    return data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return b"".join(pieces)
 
 
 def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     """Parse a matrix file straight into its columns; returns the matrix and
     any provenance parameters.
 
-    The file is read as bytes, and "\\r\\n" and a lone "\\r" end a line as
-    "\\n" does. Header and comment lines are read one at a time, data lines
-    a block of whole rows at a time: as many rows of t columns as fit in
-    BLOCK_CHARS bytes, but at least min(ceil(t/2), TRANSPOSE_BLOCK_ROWS), so a
-    block costs about two column slices per row up to t = 4096 and holds no
-    more than max(BLOCK_CHARS, TRANSPOSE_BLOCK_ROWS * (t+1)) bytes. A
-    block is checked whole. Column j of it is then its
-    stride-(t+1) slice from the last row's character j back to the first
-    row's, so one int(., 2) puts the first row lowest, and it is ORed into
-    column j at the block's first row. Only the columns and one block's text
-    are held (two or three copies of it while it is read and checked), and
-    no column is allocated before a block has passed its check.
+    The file is read as ASCII text with surrogateescape, so universal
+    newlines end a line at "\\r\\n" and a lone "\\r" as at "\\n", and a
+    byte outside ASCII is one lone surrogate; what is read is encoded back
+    to its bytes for the checks and column slices. Header and comment lines
+    are read one at a time, data lines a block of whole rows at a time: as
+    many rows of t columns as fit in BLOCK_CHARS characters, but at least
+    min(ceil(t/2), TRANSPOSE_BLOCK_ROWS), so a block costs about two column
+    slices per row up to t = 4096 and holds no more than
+    max(BLOCK_CHARS, TRANSPOSE_BLOCK_ROWS * (t+1)) bytes. A block is checked
+    whole. Column j of it is then its stride-(t+1) slice from the last row's
+    character j back to the first row's, so one int(., 2) puts the first row
+    lowest, and it is ORed into column j at the block's first row. Only the
+    columns and one block's text are held (two or three copies of it while
+    it is read and checked), and no column is allocated before a block has
+    passed its check.
     Only a block that fails its check is split into lines, to name the
     offending one.
     Raises MatrixFormatError naming the first offending line; a data line
@@ -179,7 +173,7 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     any other character out of place.
     """
     provenance: dict[str, int] | None = None
-    with open(path, "rb") as fh:
+    with open(path, encoding="ascii", errors="surrogateescape") as fh:
         line = _text(_line(fh, 1))
         if not line:
             raise MatrixFormatError("missing header", line=1)

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .code_core import (BitMatrix, CodeParams, RowLabel, _block_rows, _require_column,
                         column_masks, columns_fit, construction_columns, construction_rows)
-from .combinatorics import KSubset, binomial, colex_subsets
+from .combinatorics import KSubset, binomial, capped_binomial, colex_subsets
 
 
 # A scan with ell >= 2 gathers the remaining columns to the rows that escape
@@ -91,10 +91,10 @@ def _check_query_shape(matrix: BitMatrix, s: int, ell: int) -> None:
             f"need s + ell <= {matrix.num_cols} columns, got {s} + {ell}")
 
 
-def _first_least(masks: list[int], prefix: int, size: int, hi: int,
+def _first_least(masks: list[int], prefix: int, size: int,
                  bound: int) -> tuple[int, tuple[int, ...]] | None:
-    """(count, positions) of the first family of ``size`` positions below
-    ``hi``, in colex order, whose AND of masks with ``prefix`` has the
+    """(count, positions) of the first family of ``size`` positions of
+    ``masks``, in colex order, whose AND of masks with ``prefix`` has the
     fewest bits, fewer than ``bound``; None if there is none. ``bound == 1``
     asks only for a zero.
 
@@ -109,7 +109,7 @@ def _first_least(masks: list[int], prefix: int, size: int, hi: int,
     Python, to find the colex-first family with that count."""
     tail = min(size, 2)
     up = size - tail
-    top = list(range(tail, size)) + [hi]  # hi caps the top position
+    top = list(range(tail, size)) + [len(masks)]  # len(masks) caps the top position
     held = [prefix] * (up + 1)
     found = None
     moved = up
@@ -165,12 +165,14 @@ def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     transposed from the columns a block at a time and let go of, so the
     matrix is not left holding a second orientation for the scan."""
     n, k, s, ell = params.n, params.k, params.s, params.ell
-    # C(n,k) >= n, and C(m,ell) >= m unless ell == m, so a header naming a
-    # larger code is refused before any binomial grows past the matrix.
-    if n > matrix.num_cols or binomial(n, k) != matrix.num_cols:
+    # The binomials are capped just past the matrix, so a header naming a
+    # larger code is refused before any of them grows past it. C(m,ell) is 1
+    # at ell == m and at least m for ell < m, so m past max(rows, ell) is too
+    # big.
+    if capped_binomial(n, k, matrix.num_cols + 1) != matrix.num_cols:
         return False
-    m = binomial(n, s)
-    if (ell < m and m > matrix.num_rows) or binomial(m, ell) != matrix.num_rows:
+    m = capped_binomial(n, s, max(matrix.num_rows, ell) + 1)
+    if capped_binomial(m, ell, matrix.num_rows + 1) != matrix.num_rows:
         return False
     if columns_fit(params):
         return all(map(operator.eq, matrix.columns(), construction_columns(params)))
@@ -340,7 +342,7 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
             else:
                 low = (base & -base).bit_length() - 1
                 masks, prefix = [(c & base) >> low for c in masks], base >> low
-        hit = _first_least(masks, prefix, ell, len(rest), bound)
+        hit = _first_least(masks, prefix, ell, bound)
         if hit is not None:
             bound, positions = hit
             least = CoverFreeQuery(neg, tuple(rest[p] for p in positions))

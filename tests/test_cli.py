@@ -443,6 +443,22 @@ class TestVerifyMode:
         assert code == 1 and payload["mode"] == "full"
         assert err == ""
 
+    @pytest.mark.parametrize("content", [
+        # ell + s >= n makes CodeParams compare ell + s with C(n,k).
+        "cfcode v1\n1 2\n# n=2000000 k=1000000 s=1 l=2000000\n10\n",
+        # n equals the column count, so only C(n,k) itself tells the sizes apart.
+        "cfcode v1\n0 2000000\n# n=2000000 k=1000000 s=1 l=1\n",
+    ], ids=["params-edge", "column-count"])
+    def test_huge_header_binomial_is_never_built(self, capsys, tmp_path, content):
+        # C(2000000, 1000000) has about 600,000 digits; building it took tens of seconds.
+        path = tmp_path / "x.txt"
+        path.write_text(content)
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", str(path), "--s", "1", "--l", "1")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == "NOT COVER-FREE (1,1)\nneg {1}\npos {2}\n"
+
     def test_ell_one_header_prints_no_warning(self, capsys, tmp_path):
         path = tmp_path / "x.txt"
         _, _, err = run(capsys, "gen", "5", "3", "2", "1", "--out", str(path))

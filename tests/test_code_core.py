@@ -85,6 +85,13 @@ class TestValidate:
             best_k(4, 1, 5)
         assert err.value.constraint == "ell <= C(n,s)"
 
+    def test_edges_build_no_huge_binomial(self):
+        # ell + s >= n and ell > n, with C(n,k) and C(n,s) of about 600,000 digits.
+        start = time.perf_counter()
+        params = CodeParams(2_000_000, 1_000_001, 1_000_000, 2_000_001)
+        assert time.perf_counter() - start < 5
+        assert params.ell == 2_000_001
+
     def test_s_too_small(self):
         with pytest.raises(ParameterError) as err:
             CodeParams(5, 3, 0, 2)

@@ -14,6 +14,7 @@ from cfcode.combinatorics import (
     WALK_STEPS,
     KSubset,
     binomial,
+    capped_binomial,
     colex_rank,
     colex_subsets,
     colex_unrank,
@@ -48,6 +49,10 @@ class TestBinomial:
     @given(st.integers(0, 400), st.integers(0, 400))
     def test_matches_math_comb(self, n, k):
         assert binomial(n, k) == math.comb(n, k)
+
+    @given(st.integers(0, 80), st.integers(0, 80), st.integers(0, 1 << 80))
+    def test_capped_is_min_with_cap(self, n, k, cap):
+        assert capped_binomial(n, k, cap) == min(math.comb(n, k), cap)
 
 
 class TestKSubset:

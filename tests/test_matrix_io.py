@@ -203,13 +203,28 @@ def test_crlf_line_endings(tmp_path, bad, ending):
     ends = itertools.cycle(["\r\n", "\r", "\n"] if ending == "mixed" else [ending])
     text = "".join(line + end for line, end in zip(lines, ends))
     if ending == "\r\n":
-        # The first block, whole rows of 6 characters after the first data
-        # line, ends between the "\r" and the "\n" of a 7-byte line.
+        # A first block of whole 6-character rows after the first data line,
+        # counted in bytes, would end between the "\r" and the "\n" of a
+        # 7-byte line.
         cut = sum(len(line) + 2 for line in lines[:3]) + 6 * _rows_per_block(5)
         assert text[cut - 1:cut + 1] == "\r\n"
     path = tmp_path / "m.txt"
     path.write_bytes(text.encode("ascii"))
     _read_as_reference(path, text)
+
+
+@pytest.mark.parametrize("ending", ["\r\n", "\r"])
+@pytest.mark.parametrize("tail", ["01", "0" * (2 * BLOCK_CHARS)], ids=["short", "past-a-block"])
+def test_file_ending_inside_a_row_after_a_block(tmp_path, ending, tail):
+    # The file ends inside the row after a full first block and two more rows;
+    # the long row is also cut by the second block's end.
+    b = _rows_per_block(5)
+    lines = format_matrix([0] * (b + 7), 5).split("\n")[:b + 5]
+    path = tmp_path / "bad.txt"
+    path.write_bytes((ending.join(lines) + ending + tail).encode("ascii"))
+    with pytest.raises(MatrixFormatError, match="missing final newline") as err:
+        read_matrix(path)
+    assert err.value.line == b + 6
 
 
 def test_comment_lines_then_data(tmp_path):
