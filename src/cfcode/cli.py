@@ -25,7 +25,6 @@ from .code_core import (
     CodeParams,
     MATERIALIZE_BIT_BUDGET,
     ParameterError,
-    ParameterWarning,
     RowLabel,
     asymptotic_estimates,
     best_k,
@@ -37,7 +36,7 @@ from .code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
-from .matrix_io import MatrixFormatError, read_matrix, write_construction
+from .matrix_io import MatrixFormatError, provenance_params, read_matrix, write_construction
 from .verification import WitnessSearchError, verify_cover_free, witness_row
 
 EXIT_OK = 0
@@ -115,25 +114,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _provenance_params(provenance: dict[str, int] | None) -> CodeParams | None:
-    """The params a file's provenance header names, or None when it has none
-    or they are invalid. Building them warns of nothing: the header is only
-    a hint for choosing the scan mode."""
-    if provenance is None:
-        return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", ParameterWarning)
-        try:
-            return CodeParams(**provenance)
-        except ParameterError:
-            return None
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     matrix, provenance = read_matrix(args.file)
     verdict = verify_cover_free(matrix, args.s, args.l,
                                 count_witnesses=args.count_witnesses,
-                                construction=_provenance_params(provenance))
+                                construction=provenance_params(provenance))
     bad, least = verdict.counterexample, verdict.min_family
     if args.json:
         payload = {"holds": verdict.holds, "s": args.s, "l": args.l,

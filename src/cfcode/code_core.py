@@ -381,6 +381,19 @@ def dimensions(params: CodeParams) -> CodeDimensions:
     return CodeDimensions(num_rows, num_cols, column_weight, _rate(num_cols, num_rows))
 
 
+def has_dimensions(params: CodeParams, num_rows: int, num_cols: int) -> bool:
+    """Whether the matrix of ``params`` is ``num_rows`` by ``num_cols``. The
+    binomials are capped just past those sizes, so params naming a far
+    larger code are refused before any of them grows past the sizes given.
+    C(m,ell) is 1 at ell == m and at least m for ell < m, so m past
+    max(num_rows, ell) is too big."""
+    n, k, s, ell = params.n, params.k, params.s, params.ell
+    if capped_binomial(n, k, num_cols + 1) != num_cols:
+        return False
+    m = capped_binomial(n, s, max(num_rows, ell) + 1)
+    return capped_binomial(m, ell, num_rows + 1) == num_rows
+
+
 def column_masks(n: int, k: int) -> list[int]:
     """The element bitmask (bit e for element e) of every k-subset of [n], in colex order.
 

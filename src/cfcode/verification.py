@@ -16,8 +16,9 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .code_core import (BitMatrix, CodeParams, RowLabel, _block_rows, _require_column,
-                        column_masks, columns_fit, construction_columns, construction_rows)
-from .combinatorics import KSubset, binomial, capped_binomial, colex_subsets
+                        column_masks, columns_fit, construction_columns, construction_rows,
+                        has_dimensions)
+from .combinatorics import KSubset, binomial, colex_subsets
 
 
 # A scan with ell >= 2 gathers the remaining columns to the rows that escape
@@ -156,23 +157,17 @@ def _gathered(cols: list[int], base: int) -> list[int]:
 
 
 def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
-    """Whether the matrix equals the construction of ``params``, compared one
-    column at a time against construction_columns, so the file's columns are
-    used as read. That stream holds the C(n,s) member rows and about
+    """Whether the in-memory matrix equals the construction of ``params``.
+    A matrix read_matrix took from a generated file was already recognised
+    by its bytes; this check serves every matrix, so it compares bits. After
+    has_dimensions, the columns are compared one at a time against
+    construction_columns. That stream holds the C(n,s) member rows and about
     C(n,k-1) partial columns, ints as wide as a column; where columns_fit
     finds those over three times the columns, the matrix's rows are compared
     one at a time against construction_rows instead. Those rows are
     transposed from the columns a block at a time and let go of, so the
     matrix is not left holding a second orientation for the scan."""
-    n, k, s, ell = params.n, params.k, params.s, params.ell
-    # The binomials are capped just past the matrix, so a header naming a
-    # larger code is refused before any of them grows past it. C(m,ell) is 1
-    # at ell == m and at least m for ell < m, so m past max(rows, ell) is too
-    # big.
-    if capped_binomial(n, k, matrix.num_cols + 1) != matrix.num_cols:
-        return False
-    m = capped_binomial(n, s, max(matrix.num_rows, ell) + 1)
-    if capped_binomial(m, ell, matrix.num_rows + 1) != matrix.num_rows:
+    if not has_dimensions(params, matrix.num_rows, matrix.num_cols):
         return False
     if columns_fit(params):
         return all(map(operator.eq, matrix.columns(), construction_columns(params)))
@@ -311,8 +306,10 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     _check_query_shape(matrix, s, ell)
     t = matrix.num_cols
     orbit_key = seen = None
-    if (construction is not None and math.factorial(s) <= binomial(t, s)
-            and _is_construction(matrix, construction)):
+    # _is_construction's capped binomials refuse a wrong header at once, so
+    # s! and C(t, s) are built only for a matrix that is the construction.
+    if (construction is not None and _is_construction(matrix, construction)
+            and math.factorial(s) <= binomial(t, s)):
         if s <= construction.s and ell <= construction.ell and not count_witnesses:
             return _escaping_verdict(construction, s, ell)
         orbit_key, seen = _orbit_key(construction, s), set()
@@ -330,7 +327,8 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
         base = full
         for j in neg:
             base &= ~cols[j - 1]
-        rest = [c for c in range(1, t + 1) if c not in neg]
+        negs = set(neg)
+        rest = [c for c in range(1, t + 1) if c not in negs]
         masks, prefix = [cols[c - 1] for c in rest], base
         # At ell == 1 each column is ANDed once; cutting it first would cost
         # as much. A zero base fails at the colex-first family.

@@ -143,5 +143,6 @@ def parse_matrix(text):
     for number, line in enumerate(data, first + 1):
         if len(line) != num_cols or set(line) - {"0", "1"}:
             raise ValueError(number)
-        rows.append(sum(1 << j for j, bit in enumerate(line) if bit == "1"))
+        # Bit j of the row is character j of the line.
+        rows.append(int(line[::-1] or "0", 2))
     return num_cols, rows, provenance

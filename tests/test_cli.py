@@ -459,6 +459,21 @@ class TestVerifyMode:
         assert code == 1
         assert out == "NOT COVER-FREE (1,1)\nneg {1}\npos {2}\n"
 
+    @pytest.mark.parametrize("header", ["", "# n=200000 k=199999 s=1 l=1\n"],
+                             ids=["bare", "headered"])
+    def test_large_s_fails_at_once(self, capsys, tmp_path, header):
+        # A negative family's remaining columns take O(t), and s! is built only
+        # for a matrix that is the header's construction, so a wide file with
+        # a large s fails at its first family.
+        path = tmp_path / "x.txt"
+        path.write_text(f"cfcode v1\n0 200000\n{header}")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", str(path), "--s", "100000", "--l", "1")
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        assert out == ("NOT COVER-FREE (100000,1)\n"
+                       f"neg {{{','.join(map(str, range(1, 100001)))}}}\npos {{100001}}\n")
+
     def test_ell_one_header_prints_no_warning(self, capsys, tmp_path):
         path = tmp_path / "x.txt"
         _, _, err = run(capsys, "gen", "5", "3", "2", "1", "--out", str(path))

@@ -7,10 +7,11 @@ import warnings
 import pytest
 from reference import format_matrix, parse_matrix, transpose
 
-from cfcode import matrix_io
+from cfcode import matrix_io, verification
 from cfcode.code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterWarning,
                               materialize)
-from cfcode.matrix_io import BLOCK_CHARS, MatrixFormatError, read_matrix, write_matrix
+from cfcode.matrix_io import (BLOCK_CHARS, MatrixFormatError, read_matrix, write_construction,
+                              write_matrix)
 
 
 @pytest.fixture(autouse=True)
@@ -329,3 +330,120 @@ def test_number_past_the_digit_limit_reports_its_line(tmp_path, size_line, comme
         sys.set_int_max_str_digits(limit)
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: ")
+
+
+# The files gen writes for the benchmark's four ladder sets, its 462-column
+# file and a spread of acceptance-grid sets. (7,6,2,1) fails columns_fit, so
+# it is always parsed; the others are compared first.
+GENERATED = [(8, 4, 2, 2), (8, 5, 2, 3), (8, 6, 2, 5), (7, 4, 2, 2), (11, 5, 2, 3),
+             (3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 1, 3), (7, 5, 2, 3), (7, 6, 2, 1)]
+
+
+def _edited_copies(data):
+    """A generated file's bytes and edited copies of them, by name."""
+    last = data.rindex(b"\n", 0, len(data) - 1) + 1  # where the last row starts
+    header = data.index(b"\n", data.index(b"#")) + 1  # just past the provenance line
+    flipped = b"1" if data[-2:-1] == b"0" else b"0"
+    return {
+        "as-written": data,
+        "last-bit-flipped": data[:-2] + flipped + b"\n",
+        "row-dropped": data[:last],
+        "row-appended": data + data[last:],
+        "crlf": data.replace(b"\n", b"\r\n"),
+        "cr": data.replace(b"\n", b"\r"),
+        "no-final-newline": data[:-1],
+        "second-comment": data[:header] + b"# n=9 k=4 s=2 l=1\n" + data[header:],
+        "non-ascii": data[:last] + b"\xe9" + data[last + 1:],
+    }
+
+
+def _outcome(path):
+    try:
+        return read_matrix(path)
+    except MatrixFormatError as err:
+        return type(err), str(err), err.line
+
+
+@pytest.mark.parametrize("params", GENERATED, ids=lambda p: ",".join(map(str, p)))
+def test_generated_files_and_edits_read_as_reference(tmp_path, monkeypatch, params):
+    path = tmp_path / "m.txt"
+    write_construction(CodeParams(*params), path)
+    for name, data in _edited_copies(path.read_bytes()).items():
+        path.write_bytes(data)
+        try:
+            num_cols, rows, provenance = parse_matrix(data.decode("latin-1"))
+            expected = BitMatrix(len(rows), num_cols, rows), provenance
+        except ValueError as err:
+            expected = err.args[0]
+        # Seven-character blocks cut every line; on the two files over 1 MB
+        # they would take most of a minute, so those take 1009-character ones.
+        for block_chars in (7 if len(data) < 1 << 20 else 1009, BLOCK_CHARS):
+            with monkeypatch.context() as patch:
+                patch.setattr(matrix_io, "BLOCK_CHARS", block_chars)
+                got = _outcome(path)
+                if isinstance(expected, int):
+                    # The parser alone, with the compare path turned off,
+                    # raises the same error.
+                    patch.setattr(matrix_io, "provenance_params", lambda provenance: None)
+                    assert got == _outcome(path), (name, block_chars)
+                    assert got[0] is MatrixFormatError and got[2] == expected, (name, block_chars)
+                else:
+                    assert got == expected, (name, block_chars)
+
+
+@pytest.mark.parametrize("params", [(5, 3, 2, 2), (11, 5, 2, 1)],
+                         ids=["column-blocks", "row-blocks"])
+def test_generated_file_is_read_without_parsing(tmp_path, monkeypatch, params):
+    params = CodeParams(*params)
+    path = tmp_path / "m.txt"
+    write_construction(params, path)
+    calls = []
+    parse = matrix_io._parse_rows
+    monkeypatch.setattr(matrix_io, "_parse_rows", lambda *args: calls.append(1) or parse(*args))
+    matrix, provenance = read_matrix(path)
+    assert not calls
+    assert matrix == materialize(params)
+    assert provenance == {"n": params.n, "k": params.k, "s": params.s, "ell": params.ell}
+    data = path.read_bytes()
+    path.write_bytes(data[:-2] + (b"1" if data[-2:-1] == b"0" else b"0") + b"\n")
+    assert read_matrix(path)[0] != matrix
+    assert calls == [1]
+
+
+def test_generated_file_read_and_checked_in_no_more_memory(tmp_path):
+    # A compared file's columns come from construction_columns, whose working
+    # set, the C(n,s) member rows and about C(n,k-1) partial columns, verify's
+    # construction check holds on every headered file anyway. So reading and
+    # checking a generated file holds no more than parsing the same file with
+    # its header removed and checking it, give or take one block of text.
+    params = CodeParams(11, 5, 2, 3)
+    path, bare = tmp_path / "m.txt", tmp_path / "bare.txt"
+    write_construction(params, path)
+    bare.write_bytes(b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                              if not line.startswith(b"#")))
+
+    def peak(source):
+        tracemalloc.start()
+        try:
+            matrix, _ = read_matrix(source)
+            assert verification._is_construction(matrix, params)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(path) <= peak(bare) + BLOCK_CHARS
+
+
+def test_short_file_naming_a_large_code_is_parsed(tmp_path):
+    # (20,10,2,3) is 1,125,180 rows by 184,756 columns, about 26 GB of
+    # columns; a file too short to hold them is parsed, not compared.
+    path = tmp_path / "bad.txt"
+    path.write_text("cfcode v1\n1125180 184756\n# n=20 k=10 s=2 l=3\n0101\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(MatrixFormatError, match="expected 1125180 data lines, found 1"):
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
