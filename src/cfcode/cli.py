@@ -36,7 +36,7 @@ from .code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
-from .matrix_io import MatrixFormatError, provenance_params, read_matrix, write_construction
+from .matrix_io import provenance_params, read_matrix, write_construction
 from .verification import WitnessSearchError, verify_cover_free, witness_row
 
 EXIT_OK = 0
@@ -274,9 +274,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             return code
         except ParameterError as exc:
             print(f"error: violated constraint {exc.constraint}: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except MatrixFormatError as exc:
-            print(f"error: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except BudgetError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -244,45 +244,28 @@ def _packed(ints: Sequence[int], count: int, width: int, what: str, unit: str) -
     return ints
 
 
-def _transpose(ints: Sequence[int], width: int) -> list[int]:
+def _transpose(ints: Iterable[int], width: int) -> list[int]:
     """The ``width`` ints whose int j holds bit j of every one of ``ints``,
-    bit i from ``ints[i]``: rows to columns, or columns to rows. A block of
-    ints, last first, is formatted one window of bits at a time as one
-    string of binary numerals; int j of the window is its stride slice from
-    the window's last place. The string holds at most
-    TRANSPOSE_BLOCK_ROWS * TRANSPOSE_WINDOW_BITS characters however wide the
-    ints are."""
+    bit i from the i-th int: rows to columns, or columns to rows. ``ints``
+    may be any iterable, a stream included: it is taken TRANSPOSE_BLOCK_ROWS
+    ints at a time, and only one block is held. A block, last int first, is
+    formatted one window of bits at a time as one string of binary numerals;
+    int j of the window is its stride slice from the window's last place.
+    The string holds at most TRANSPOSE_BLOCK_ROWS * TRANSPOSE_WINDOW_BITS
+    characters however wide the ints are."""
     out = [0] * width
-    for start in range(0, len(ints), TRANSPOSE_BLOCK_ROWS):
-        block = ints[start:start + TRANSPOSE_BLOCK_ROWS][::-1]
+    ints = iter(ints)
+    start = 0
+    while block := list(itertools.islice(ints, TRANSPOSE_BLOCK_ROWS)):
+        block.reverse()
         for low in range(0, width, TRANSPOSE_WINDOW_BITS):
             span = min(TRANSPOSE_WINDOW_BITS, width - low)
             fmt, mask = f"0{span}b", (1 << span) - 1
             bits = "".join([format(v >> low & mask, fmt) for v in block])
             for j in range(span):
                 out[low + j] |= int(bits[span - 1 - j::span], 2) << start
+        start += TRANSPOSE_BLOCK_ROWS
     return out
-
-
-def _column_tiles(cols: Iterable[int], num_rows: int) -> Iterator[tuple[int, list[int]]]:
-    """For each block of TRANSPOSE_BLOCK_ROWS rows of the matrix with columns
-    ``cols``, in order, the block's row count and every column's piece of it
-    (bit i = the block's row i). Each column is held as its bytes and cut
-    through them, which costs one pass over it rather than a shift of the
-    whole column per block."""
-    data = [c.to_bytes(-(-num_rows // 8), "little") for c in cols]
-    step = TRANSPOSE_BLOCK_ROWS // 8
-    for start in range(0, num_rows, TRANSPOSE_BLOCK_ROWS):
-        at = start // 8
-        yield (min(TRANSPOSE_BLOCK_ROWS, num_rows - start),
-               [int.from_bytes(d[at:at + step], "little") for d in data])
-
-
-def _block_rows(cols: Iterable[int], num_rows: int) -> Iterator[int]:
-    """The ``num_rows`` rows of the matrix with columns ``cols``, in order,
-    transposed a tile at a time, so only one block's rows are held."""
-    for span, pieces in _column_tiles(cols, num_rows):
-        yield from _transpose(pieces, span)
 
 
 def _require_column(params: CodeParams, col: KSubset) -> None:
@@ -469,11 +452,15 @@ def _unions_by_top(rows: list[int], s: int, lower: list[int], j: int,
 
 def construction_columns(params: CodeParams) -> Iterator[int]:
     """Every column of the matrix as a bit-packed int (bit i = row i), in
-    rank order, in closed form: no row is built.
+    rank order. Where columns_fit holds they are built in closed form, with
+    no row built; elsewhere they are the rows of construction_rows,
+    transposed a block at a time, so one block of rows is held beside the
+    columns.
 
-    Number the m = C(n,s) members 0, ..., m-1 in colex order. The family
-    e_1 < ... < e_ell is the row of rank sum C(e_i, i), so the families
-    whose largest member is h form the rank block [C(h,ell), C(h+1,ell)).
+    The closed form: number the m = C(n,s) members 0, ..., m-1 in colex
+    order. The family e_1 < ... < e_ell is the row of rank sum C(e_i, i),
+    so the families whose largest member is h form the rank block
+    [C(h,ell), C(h+1,ell)).
     The rows holding member e at place i are then C(e,i) + x + y: the
     places below give every x in [0, C(e,i-1)), and the places above give
     the sums y of a set Y. With bit y set for each y in Y, those rows are a
@@ -487,6 +474,8 @@ def construction_columns(params: CodeParams) -> Iterator[int]:
     C(n-1,k-1) + C(n-2,k-2) <= C(n,k-1) partial columns.
     """
     n, k, s, ell = params.n, params.k, params.s, params.ell
+    if not columns_fit(params):
+        return iter(_transpose(construction_rows(params), binomial(n, k)))
     m = binomial(n, s)
     # above[i] has bit y for each sum y the places above place i + 1 can give.
     above = [0] * (ell - 1) + [1]
@@ -504,10 +493,11 @@ def construction_columns(params: CodeParams) -> Iterator[int]:
 
 
 def columns_fit(params: CodeParams) -> bool:
-    """Whether construction_columns' working set, the C(n,s) member rows and
-    about C(n,k-1) partial columns, ints as wide as a column, is at most
-    three times the C(n,k) columns themselves. Elsewhere the construction is
-    better taken a row at a time from construction_rows."""
+    """Whether the working set of construction_columns' closed form, the
+    C(n,s) member rows and about C(n,k-1) partial columns, ints as wide as a
+    column, is at most three times the C(n,k) columns themselves. Elsewhere
+    the construction is better taken a row at a time from construction_rows,
+    and construction_columns transposes those rows."""
     n, k = params.n, params.k
     return binomial(n, params.s) + binomial(n, k - 1) <= 3 * binomial(n, k)
 

@@ -15,9 +15,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .code_core import (BitMatrix, CodeParams, RowLabel, _block_rows, _require_column,
-                        column_masks, columns_fit, construction_columns, construction_rows,
-                        has_dimensions)
+from .code_core import (BitMatrix, CodeParams, RowLabel, _require_column, column_masks,
+                        construction_columns, has_dimensions)
 from .combinatorics import KSubset, binomial, colex_subsets
 
 
@@ -159,20 +158,15 @@ def _gathered(cols: list[int], base: int) -> list[int]:
 def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     """Whether the in-memory matrix equals the construction of ``params``.
     A matrix read_matrix took from a generated file was already recognised
-    by its bytes; this check serves every matrix, so it compares bits. After
-    has_dimensions, the columns are compared one at a time against
-    construction_columns. That stream holds the C(n,s) member rows and about
-    C(n,k-1) partial columns, ints as wide as a column; where columns_fit
-    finds those over three times the columns, the matrix's rows are compared
-    one at a time against construction_rows instead. Those rows are
-    transposed from the columns a block at a time and let go of, so the
-    matrix is not left holding a second orientation for the scan."""
-    if not has_dimensions(params, matrix.num_rows, matrix.num_cols):
-        return False
-    if columns_fit(params):
-        return all(map(operator.eq, matrix.columns(), construction_columns(params)))
-    return all(map(operator.eq, _block_rows(matrix.columns(), matrix.num_rows),
-                   construction_rows(params)))
+    by its bytes; this check serves every matrix, so it compares bits: after
+    has_dimensions, the columns one at a time against construction_columns.
+    Where columns_fit fails, construction_columns transposes every row of
+    the construction before it yields a column, so there a matrix that
+    differs is refused only after that whole transpose: a rejection costs
+    as much as an acceptance. The matrix's own columns are compared, so it
+    is not left holding rows for the scan."""
+    return (has_dimensions(params, matrix.num_rows, matrix.num_cols)
+            and all(map(operator.eq, matrix.columns(), construction_columns(params))))
 
 
 def _venn_vectors(params: CodeParams) -> Callable[[tuple[int, ...]], list[int]]:

@@ -17,11 +17,14 @@ def colex_sorted(iterable):
 
 
 def transpose(rows, num_cols):
-    """Column masks built one bit at a time: bit i of mask j is row i's bit j."""
+    """Column masks built one bit at a time: bit i of mask j is row i's bit j.
+    Only a row's set bits below num_cols are visited, lowest first."""
     masks = [0] * num_cols
     for i, row in enumerate(rows):
-        for j in range(num_cols):
-            masks[j] |= (row >> j & 1) << i
+        row &= (1 << num_cols) - 1
+        while row:
+            masks[(row & -row).bit_length() - 1] |= 1 << i
+            row &= row - 1
     return masks
 
 

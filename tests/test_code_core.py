@@ -322,19 +322,23 @@ class TestMaterialize:
     # built. (1000,999,1,999) builds 998 of them, one per member added. The
     # written file is checked too: (6,5,2,4) and (8,6,4,2) fail columns_fit,
     # and (10,5,1,2) and (11,4,1,2), 252 and 330 columns, sit on either side
-    # of COLUMN_WRITE_MAX_COLS; (8,4,2,3) spans two column blocks.
+    # of COLUMN_WRITE_MAX_COLS; (8,4,2,3) spans two column blocks. The columns
+    # are checked as well: (10,9,5,2), 31,626 rows in 16 transpose blocks,
+    # fails columns_fit, so its columns are transposed rows.
     @pytest.mark.parametrize("quad", [(5, 4, 1, 4), (5, 3, 2, 8), (6, 4, 2, 13), (6, 5, 2, 4),
                                       (8, 6, 4, 2), (10, 5, 1, 2), (11, 4, 1, 2), (8, 4, 2, 3),
-                                      (1000, 999, 1, 999)])
+                                      (1000, 999, 1, 999), (10, 9, 5, 2)])
     def test_matches_reference_rows(self, quad, tmp_path):
         params = CodeParams(*quad)
         rows = construction_rows(*quad)
         assert materialize(params).rows == rows
         assert list(code_core.construction_rows(params)) == rows
+        t = binomial(quad[0], quad[1])
+        assert list(code_core.construction_columns(params)) == transpose(rows, t)
         path = tmp_path / "m.txt"
         write_construction(params, path)
         comment = "# n={} k={} s={} l={}".format(*quad)
-        assert path.read_text() == format_matrix(rows, binomial(quad[0], quad[1]), [comment])
+        assert path.read_text() == format_matrix(rows, t, [comment])
 
     @pytest.mark.parametrize("quad", [(11, 5, 2, 3), (12, 6, 2, 2), (30, 29, 2, 2), (6, 4, 2, 13),
                                       (9, 6, 3, 2), (8, 6, 4, 2), (7, 5, 3, 4)])
@@ -418,6 +422,18 @@ class TestBitMatrix:
             # The other way round, the rows come back from the columns.
             cols = m.columns()
             assert code_core._transpose(cols, num_rows) == transpose(cols, num_rows) == m.rows
+
+    # Row counts on either side of one and two transpose blocks, and a width
+    # past one window. Wide rows are sparse, so the reference stays quick:
+    # row i holds bit i mod width and one random bit.
+    @pytest.mark.parametrize("width", [1, 7, TRANSPOSE_WINDOW_BITS + 1])
+    @pytest.mark.parametrize("num_rows", [0, 1, TRANSPOSE_BLOCK_ROWS - 1, TRANSPOSE_BLOCK_ROWS,
+                                          TRANSPOSE_BLOCK_ROWS + 1, 2 * TRANSPOSE_BLOCK_ROWS + 1])
+    def test_transpose_takes_a_stream(self, num_rows, width):
+        rng = random.Random(num_rows * width)
+        rows = [rng.getrandbits(width) if width < 64
+                else 1 << i % width | 1 << rng.randrange(width) for i in range(num_rows)]
+        assert code_core._transpose((r for r in rows), width) == transpose(rows, width)
 
     def test_rows_from_long_columns_hold_little_text(self):
         # 64 columns of 50,000 rows: formatted whole, they would be 3.2 MB of

@@ -4,12 +4,13 @@ import time
 import warnings
 
 import pytest
-from reference import (colex_sorted, column_weight, orbit_count, scan_summary, witness_count,
-                       witness_counts)
+from reference import (colex_sorted, column_weight, construction_rows, orbit_count,
+                       scan_summary, transpose, witness_count, witness_counts)
 
 from cfcode import verification
 from cfcode.combinatorics import KSubset
 from cfcode.code_core import (
+    TRANSPOSE_BLOCK_ROWS,
     BitMatrix,
     CodeParams,
     ParameterWarning,
@@ -397,6 +398,22 @@ class TestOrbitMode:
             verdict = verify_cover_free(m, 1, 1, construction=params)
             assert verdict.holds and verdict.orbits == mode
             assert m._rows is None
+
+    def test_row_side_check_refuses_one_flipped_bit(self):
+        # (10,9,5,2) fails columns_fit, so construction_columns transposes its
+        # 31,626 rows, 16 blocks of TRANSPOSE_BLOCK_ROWS. A bit flipped on
+        # either side of the first block boundary, or at either end, in the
+        # first or the last column, is seen.
+        params = CodeParams(10, 9, 5, 2)
+        cols = transpose(construction_rows(10, 9, 5, 2), 10)
+        num_rows = dimensions(params).num_rows
+        assert verification._is_construction(BitMatrix.from_columns(num_rows, 10, cols), params)
+        for row in (0, TRANSPOSE_BLOCK_ROWS - 1, TRANSPOSE_BLOCK_ROWS, num_rows - 1):
+            for col in (0, 9):
+                flipped = list(cols)
+                flipped[col] ^= 1 << row
+                m = BitMatrix.from_columns(num_rows, 10, flipped)
+                assert not verification._is_construction(m, params), (row, col)
 
     def test_other_matrices_use_the_full_walk(self):
         params = CodeParams(5, 3, 2, 1)
