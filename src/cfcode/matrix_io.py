@@ -14,24 +14,26 @@ generated file is byte-identical across runs and platforms.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import re
 import warnings
+from functools import reduce
 from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterError,
-                        ParameterWarning, columns_fit, construction_columns, construction_rows,
-                        dimensions, has_dimensions)
+                        ParameterWarning, column_masks, columns_fit, construction_columns,
+                        construction_rows, dimensions, has_dimensions)
+from .combinatorics import colex_subsets
 
 MAGIC = "cfcode v1"
 # Bytes of data lines moved per string operation when writing rows, and per
 # read call when reading.
 BLOCK_CHARS = 1 << 15
-# The widest construction written from its columns. A block costs a format
-# and a stride assignment per column on that side and a format per row on
-# the other; the two sides took the same time between 224 and 288 columns.
-COLUMN_WRITE_MAX_COLS = 256
+# The widest construction written level by level: each level costs a stride
+# assignment per column holding each member, and holds t+1 bytes a line.
+LEVEL_WRITE_MAX_COLS = 256
 
 _PROVENANCE = re.compile(r"n=(\d+)\s+k=(\d+)\s+s=(\d+)\s+l=(\d+)")
 
@@ -54,23 +56,20 @@ def write_matrix(matrix: BitMatrix, path: str | Path,
 
 
 def write_construction(params: CodeParams, path: str | Path) -> None:
-    """Write the matrix of ``params``, with its provenance comment, as it is
-    built, from the blocks of _construction_blocks; read_matrix recognises
-    the file by comparing its data lines with the same blocks."""
+    """Write the matrix of ``params``, with its provenance comment, as the
+    blocks of _construction_blocks build it, level by level in text or row
+    by row; read_matrix recognises the file by comparing with those blocks."""
     dims = dimensions(params)
     _write(path, dims.num_rows, dims.num_cols, params, _construction_blocks(params))
 
 
 def _construction_blocks(params: CodeParams) -> Iterator[bytes]:
-    """The data lines of the matrix of ``params``, a block at a time: from
-    construction_columns when it has at most COLUMN_WRITE_MAX_COLS columns
-    and columns_fit holds, otherwise from construction_rows. No row list is
-    held either way."""
-    dims = dimensions(params)
-    # columns_fit is a speed choice: without it, gen of (12,11,6,2) took 186 ms, not 118.
-    if dims.num_cols <= COLUMN_WRITE_MAX_COLS and columns_fit(params):
-        return _column_blocks(construction_columns(params), dims.num_rows)
-    return _row_blocks(construction_rows(params), dims.num_cols)
+    """The data lines of the matrix of ``params``, a block at a time, with no
+    row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else rows."""
+    t = dimensions(params).num_cols
+    if t <= LEVEL_WRITE_MAX_COLS:
+        return _level_blocks(params)
+    return _row_blocks(construction_rows(params), t)
 
 
 def _write(path: str | Path, num_rows: int, t: int, params: CodeParams | None,
@@ -97,24 +96,39 @@ def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
         yield ("\n" + "\n".join(lines))[::-1].encode()
 
 
-def _column_blocks(cols: Iterable[int], num_rows: int) -> Iterator[bytearray]:
-    """The data lines of the matrix with columns ``cols``, a block of
-    TRANSPOSE_BLOCK_ROWS lines at a time, with no row built. Each column is
-    held as its bytes and cut through them, which costs one pass over it
-    rather than a shift of the whole column per block. Column j's piece of a
-    block is formatted once, last row first, and put in place j of every
-    line, from the last line back, by one stride assignment: the slice
-    read_matrix parses."""
-    data = [c.to_bytes(-(-num_rows // 8), "little") for c in cols]
-    width, step = len(data) + 1, TRANSPOSE_BLOCK_ROWS // 8
-    for start in range(0, num_rows, TRANSPOSE_BLOCK_ROWS):
-        span, at = min(TRANSPOSE_BLOCK_ROWS, num_rows - start), start // 8
-        fmt, last = f"0{span}b", (span - 1) * width
-        buf = bytearray(b"\n" * (span * width))
-        for j, d in enumerate(data):
-            buf[last + j::-width] = format(int.from_bytes(d[at:at + step], "little"),
-                                           fmt).encode()
-        yield buf
+def _level_blocks(params: CodeParams) -> Iterator[bytes]:
+    """The data lines of the matrix of ``params``, as text level by level.
+    Level 1 is the m = C(n,s) member lines, ANDs of element patterns sliced
+    from column_masks' numerals. Level j's families with top member c are
+    level j-1's first C(c,j-1) lines with 1s strided into c's columns. Each
+    level grows in one buffer; level ell is yielded a window at a time."""
+    n, s, ell, masks = params.n, params.s, params.ell, column_masks(params.n, params.k)
+    width, fmt = len(masks) + 1, f"0{len(masks)}b"
+    numerals = "".join([format(mask, f"0{n + 1}b") for mask in masks])
+    element = [int(numerals[n - e::n + 1], 2) for e in range(n + 1)]
+    members = (reduce(int.__and__, map(element.__getitem__, sub)) for sub in colex_subsets(s, n))
+    if ell == 1:
+        while window := [format(v, fmt) for v in itertools.islice(members, TRANSPOSE_BLOCK_ROWS)]:
+            yield ("\n".join(window) + "\n").encode()
+        return
+    lines = [format(v, fmt) for v in members]
+    holds = [[col for col, bit in enumerate(line) if bit == "1"] for line in lines]
+    level, m = bytearray("\n".join(lines) + "\n", "ascii"), len(lines)
+    for j in range(2, ell + 1):
+        lower, level = level, bytearray()
+        for c in range(j - 1, m - ell + j):
+            at, size = math.comb(c, j), math.comb(c, j - 1)
+            # Pieces end where the level's windows of TRANSPOSE_BLOCK_ROWS lines do.
+            for a in range(-(at % TRANSPOSE_BLOCK_ROWS), size, TRANSPOSE_BLOCK_ROWS):
+                if j == ell and len(level) == TRANSPOSE_BLOCK_ROWS * width:
+                    yield level
+                    level = bytearray()
+                lo, hi, start = max(a, 0), min(size, a + TRANSPOSE_BLOCK_ROWS), len(level)
+                level += lower[lo * width:hi * width]
+                ones = b"1" * (hi - lo)
+                for col in holds[c]:
+                    level[start + col::width] = ones
+    yield level
 
 
 def _decimal(digits: str, line: int) -> int:
@@ -184,10 +198,11 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     to its bytes. Header and comment lines are read one at a time. A file
     whose header names a code of the size line's dimensions with
     columns_fit is first compared, a block at a time as it is read, with
-    the bytes write_construction writes for that code; if they match to the
-    end of the file, its columns are construction_columns and no data line
-    is parsed. Any other file is parsed by _parse_rows, which alone raises
-    MatrixFormatError, naming the first offending line.
+    the blocks write_construction writes, levels of text or rows past
+    LEVEL_WRITE_MAX_COLS columns; if they match to the end, its columns are
+    construction_columns and no data line is parsed. Any other file is
+    parsed by _parse_rows, which alone raises MatrixFormatError, naming the
+    first offending line.
     """
     provenance: dict[str, int] | None = None
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -222,7 +237,7 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         # larger code before columns_fit builds any binomial of it. The code
         # is built only for a file long enough to hold it, on a stream that
         # can seek back to the data lines. columns_fit is a speed choice:
-        # without it, verify of the (12,11,6,2) file took 671 ms, not 256.
+        # without it, verify of the (12,11,6,2) file took 520-650 ms, not 300-350.
         if (params is not None and has_dimensions(params, num_rows, t) and columns_fit(params)
                 and fh.seekable() and os.fstat(fh.fileno()).st_size >= num_rows * (t + 1)):
             start = fh.tell()

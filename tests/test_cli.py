@@ -189,19 +189,47 @@ class TestGen:
                    for i, line in enumerate(lines[3:]))
 
     def test_narrow_file_written_from_columns(self, capsys, tmp_path, monkeypatch):
-        # (8,6,2,5) has 28 columns: gen writes it from its closed-form
-        # columns, and its bytes are pinned to those of the row writer.
+        # Files of at most 256 columns are written level by level as text,
+        # building no row, column or transpose. Their bytes are pinned to
+        # those the column and row writers wrote: (8,6,2,5), deep l at
+        # (7,4,2,6), l = 1 with 12,870 members at (16,15,8,1), and l = 2 with
+        # 252 members at (10,9,5,2).
         def refuse(*args, **kwargs):
-            raise AssertionError("gen built rows")
+            raise AssertionError("gen built rows, columns or a transpose")
 
         for module in (code_core, matrix_io):
             monkeypatch.setattr(module, "construction_rows", refuse)
+            monkeypatch.setattr(module, "construction_columns", refuse)
         monkeypatch.setattr(code_core, "materialize", refuse)
+        monkeypatch.setattr(code_core, "_transpose", refuse)
         path = tmp_path / "x.txt"
-        code, out, _ = run(capsys, "gen", "8", "6", "2", "5", "--out", str(path))
-        assert code == 0 and out.endswith("98280x28\n")
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "09e7868a1af1bb6f800fe068e317509578ab157f5bd3556e6572df053b668448")
+        for argv, size, digest in (
+                (("8", "6", "2", "5"), "98280x28",
+                 "09e7868a1af1bb6f800fe068e317509578ab157f5bd3556e6572df053b668448"),
+                (("7", "4", "2", "6"), "54264x35",
+                 "2e645245ce8f36f178096eb5f25ee458ec11a97d35346ea03cab137257fc162d"),
+                (("16", "15", "8", "1"), "12870x16",
+                 "ade3c1d36d5b8baf7bd6ee0014c6b7b4582eb60b511e8894390ec180f29b1da2"),
+                (("10", "9", "5", "2"), "31626x10",
+                 "a65392a9f1ef292c97b5b5ee9a093f4b05a87f8b32b5ba20e2a1c3565fc003ca")):
+            code, out, _ = run(capsys, "gen", *argv, "--out", str(path))
+            assert code == 0 and out.endswith(f"{size}\n")
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("argv, bound", [(("8", "6", "2", "5"), 5 << 18),
+                                             (("12", "11", "6", "2"), 1 << 20)],
+                             ids=["8,6,2,5", "12,11,6,2"])
+    def test_narrow_file_holds_two_levels(self, capsys, tmp_path, argv, bound):
+        # (8,6,2,5) holds its level of 17,550 4-families of 29 bytes, about
+        # 0.5 MB; (12,11,6,2) only its 924 member lines of 13 bytes.
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "gen", *argv, "--out", str(tmp_path / "x.txt"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < bound
 
     def test_wide_file_streams_rows(self, capsys, tmp_path):
         # (12,6,2,3) is 45,760 rows of 924 columns: about 7.2 MB as a row list.

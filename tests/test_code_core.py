@@ -320,9 +320,9 @@ class TestMaterialize:
     # Past the acceptance grid's ell <= 3, with ell above half of C(n,s), so
     # construction_rows builds many levels, each held only while the next is
     # built. (1000,999,1,999) builds 998 of them, one per member added. The
-    # written file is checked too: (6,5,2,4) and (8,6,4,2) fail columns_fit,
-    # and (10,5,1,2) and (11,4,1,2), 252 and 330 columns, sit on either side
-    # of COLUMN_WRITE_MAX_COLS; (8,4,2,3) spans two column blocks. The columns
+    # written file is checked too: (10,5,1,2) and (11,4,1,2), 252 and 330
+    # columns, sit on either side of LEVEL_WRITE_MAX_COLS; (8,4,2,3) spans two
+    # windows of its top level; (6,4,2,13) has 13 levels. The columns
     # are checked as well: (10,9,5,2), 31,626 rows in 16 transpose blocks,
     # fails columns_fit, so its columns are transposed rows.
     @pytest.mark.parametrize("quad", [(5, 4, 1, 4), (5, 3, 2, 8), (6, 4, 2, 13), (6, 5, 2, 4),

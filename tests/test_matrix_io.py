@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 import sys
 import tracemalloc
 import warnings
 
 import pytest
-from reference import format_matrix, parse_matrix, transpose
+from reference import construction_rows, format_matrix, parse_matrix, transpose
 
 from cfcode import matrix_io, verification
 from cfcode.code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterWarning,
@@ -289,14 +290,22 @@ def test_non_ascii_byte_reports_its_line(tmp_path, where):
     assert "\\udce9" in str(err.value)  # the byte, shown as the surrogate it decodes to
 
 
-@pytest.mark.parametrize("num_cols", [0, 3, 40])
-@pytest.mark.parametrize("num_rows", [0, 2047, 2048, 2049, 4097])
-def test_column_blocks_match_reference(num_rows, num_cols):
-    # Blocks of TRANSPOSE_BLOCK_ROWS = 2048 rows, the last one partial.
-    rng = random.Random(num_rows + num_cols)
-    rows = [rng.getrandbits(num_cols) for _ in range(num_rows)]
-    text = b"".join(matrix_io._column_blocks(transpose(rows, num_cols), num_rows)).decode()
-    assert text == format_matrix(rows, num_cols).split("\n", 2)[2]
+# Top blocks cut at window edges ((8,6,2,5), (7,4,2,6)), deep l ((6,4,2,13))
+# and l = 1, where the member lines are the rows.
+@pytest.mark.parametrize("params", [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6),
+                                    (8, 6, 2, 5), (10, 9, 5, 2), (16, 15, 8, 1)],
+                         ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("window", [TRANSPOSE_BLOCK_ROWS, 7])
+def test_level_blocks_match_reference(monkeypatch, params, window):
+    # Windows of 7 lines cut the blocks of every level, held ones included.
+    # Every block but the last is one whole window.
+    monkeypatch.setattr(matrix_io, "TRANSPOSE_BLOCK_ROWS", window)
+    rows = construction_rows(*params)
+    blocks = list(matrix_io._level_blocks(CodeParams(*params)))
+    assert [block.count(b"\n") for block in blocks[:-1]] == [window] * (len(blocks) - 1)
+    assert blocks[-1].count(b"\n") <= window
+    text = b"".join(blocks).decode()
+    assert text == format_matrix(rows, math.comb(params[0], params[1])).split("\n", 2)[2]
 
 
 def test_zero_row_header_allocates_nothing_wide(tmp_path):
@@ -392,7 +401,7 @@ def test_generated_files_and_edits_read_as_reference(tmp_path, monkeypatch, para
 
 
 @pytest.mark.parametrize("params", [(5, 3, 2, 2), (11, 5, 2, 1)],
-                         ids=["column-blocks", "row-blocks"])
+                         ids=["level-blocks", "row-blocks"])
 def test_generated_file_is_read_without_parsing(tmp_path, monkeypatch, params):
     params = CodeParams(*params)
     path = tmp_path / "m.txt"
