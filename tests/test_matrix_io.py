@@ -290,6 +290,20 @@ def test_non_ascii_byte_reports_its_line(tmp_path, where):
     assert "\\udce9" in str(err.value)  # the byte, shown as the surrogate it decodes to
 
 
+@pytest.mark.parametrize("num_cols", [0, 3, 40])
+@pytest.mark.parametrize("num_rows", [0, 2047, 2048, 2049, 4097])
+def test_column_blocks_match_reference(tmp_path, num_rows, num_cols):
+    # A matrix held as columns, as read_matrix returns it, is written through
+    # one transpose and blocks of rows; the text and the columns read back
+    # match the reference around TRANSPOSE_BLOCK_ROWS = 2048 rows.
+    rng = random.Random(num_rows + num_cols)
+    rows = [rng.getrandbits(num_cols) for _ in range(num_rows)]
+    path = tmp_path / "m.txt"
+    write_matrix(BitMatrix.from_columns(num_rows, num_cols, transpose(rows, num_cols)), path)
+    assert path.read_text() == format_matrix(rows, num_cols)
+    assert read_matrix(path)[0].columns() == transpose(rows, num_cols)
+
+
 # Top blocks cut at window edges ((8,6,2,5), (7,4,2,6)), deep l ((6,4,2,13))
 # and l = 1, where the member lines are the rows.
 @pytest.mark.parametrize("params", [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6),
