@@ -154,9 +154,14 @@ class BitMatrix:
     """Dense binary matrix held as bit-packed rows (bit j of row i is column
     j), as bit-packed columns (bit i of column j is row i), or as both. It
     keeps the orientation it was built from and derives the other once, on
-    first use, by one transpose."""
+    first use, by one transpose.
 
-    __slots__ = ("num_rows", "num_cols", "_rows", "_cols")
+    A matrix made by ``of_construction`` is in a third state: it holds
+    neither orientation, only the params in ``construction``, and its first
+    use of a bit builds construction_columns once. ``construction`` names
+    the code the matrix equals, or is None; ``set`` clears it."""
+
+    __slots__ = ("num_rows", "num_cols", "_rows", "_cols", "construction")
 
     def __init__(self, num_rows: int, num_cols: int, rows: Sequence[int] | None = None) -> None:
         self._rows = _packed([0] * num_rows if rows is None else rows,
@@ -164,15 +169,25 @@ class BitMatrix:
         self._cols: list[int] | None = None
         self.num_rows = num_rows
         self.num_cols = num_cols
+        self.construction: CodeParams | None = None
 
     @classmethod
     def from_columns(cls, num_rows: int, num_cols: int, cols: Sequence[int]) -> "BitMatrix":
         """The matrix whose column j is ``cols[j]`` (bit i = row i)."""
         matrix = cls.__new__(cls)
         matrix._cols = _packed(cols, num_cols, num_rows, "column", "rows")
-        matrix._rows = None
+        matrix._rows = matrix.construction = None
         matrix.num_rows = num_rows
         matrix.num_cols = num_cols
+        return matrix
+
+    @classmethod
+    def of_construction(cls, num_rows: int, num_cols: int, params: CodeParams) -> "BitMatrix":
+        """The matrix of ``params``, which the caller has checked is
+        ``num_rows`` by ``num_cols``, with no bit built yet."""
+        matrix = cls.__new__(cls)
+        matrix._rows = matrix._cols = None
+        matrix.num_rows, matrix.num_cols, matrix.construction = num_rows, num_cols, params
         return matrix
 
     @property
@@ -181,14 +196,15 @@ class BitMatrix:
         matrix's own: change bits through set(), which keeps both
         orientations in step."""
         if self._rows is None:
-            self._rows = _transpose(self._cols, self.num_rows)
+            self._rows = _transpose(self.columns(), self.num_rows)
         return self._rows
 
     def columns(self) -> list[int]:
         """Every column packed into an int (bit i = row i); the matrix's own
         list, as for ``rows``."""
         if self._cols is None:
-            self._cols = _transpose(self._rows, self.num_cols)
+            self._cols = (list(construction_columns(self.construction)) if self._rows is None
+                          else _transpose(self._rows, self.num_cols))
         return self._cols
 
     def _check_index(self, i: int, j: int) -> None:
@@ -201,12 +217,15 @@ class BitMatrix:
         self._check_index(i, j)
         if self._rows is not None:
             return (self._rows[i] >> j) & 1
-        return (self._cols[j] >> i) & 1
+        return (self.columns()[j] >> i) & 1
 
     def set(self, i: int, j: int, bit: int) -> None:
         self._check_index(i, j)
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit}")
+        if self._rows is None:
+            self.columns()
+        self.construction = None
         if self._rows is not None:
             self._rows[i] = (self._rows[i] & ~(1 << j)) | (bit << j)
         if self._cols is not None:

@@ -23,8 +23,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterError,
-                        ParameterWarning, column_masks, columns_fit, construction_columns,
-                        construction_rows, dimensions, has_dimensions)
+                        ParameterWarning, column_masks, construction_rows, dimensions,
+                        has_dimensions)
 from .combinatorics import colex_subsets
 
 MAGIC = "cfcode v1"
@@ -189,20 +189,20 @@ def provenance_params(provenance: dict[str, int] | None) -> CodeParams | None:
 
 
 def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
-    """Read a matrix file into its columns; returns the matrix and any
-    provenance parameters.
+    """Read a matrix file, a generated one by name and any other into its
+    columns; returns the matrix and any provenance parameters.
 
     The file is read as ASCII text with surrogateescape, so universal
     newlines end a line at "\\r\\n" and a lone "\\r" as at "\\n", and a
     byte outside ASCII is one lone surrogate; what is read is encoded back
     to its bytes. Header and comment lines are read one at a time. A file
-    whose header names a code of the size line's dimensions with
-    columns_fit is first compared, a block at a time as it is read, with
-    the blocks write_construction writes, levels of text or rows past
-    LEVEL_WRITE_MAX_COLS columns; if they match to the end, its columns are
-    construction_columns and no data line is parsed. Any other file is
-    parsed by _parse_rows, which alone raises MatrixFormatError, naming the
-    first offending line.
+    whose header names a code of the size line's dimensions is first
+    compared, a block at a time as it is read, with the blocks
+    write_construction writes, levels of text or rows past
+    LEVEL_WRITE_MAX_COLS columns; if they match to the end, the file is
+    that code, returned by BitMatrix.of_construction with no bit built and
+    no data line parsed. Any other file is parsed by _parse_rows, which
+    alone raises MatrixFormatError, naming the first offending line.
     """
     provenance: dict[str, int] | None = None
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -233,16 +233,15 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
             number += 1
             block = _line(fh, number + 1)
         params = provenance_params(provenance)
-        # has_dimensions first: its capped binomials refuse a header naming a
-        # larger code before columns_fit builds any binomial of it. The code
-        # is built only for a file long enough to hold it, on a stream that
-        # can seek back to the data lines. columns_fit is a speed choice:
-        # without it, verify of the (12,11,6,2) file took 520-650 ms, not 300-350.
-        if (params is not None and has_dimensions(params, num_rows, t) and columns_fit(params)
+        # has_dimensions' capped binomials refuse a header naming a larger
+        # code before any binomial of it is built. The writer's bytes are
+        # built only for a file long enough to hold them, on a stream that
+        # can seek back to the data lines.
+        if (params is not None and has_dimensions(params, num_rows, t)
                 and fh.seekable() and os.fstat(fh.fileno()).st_size >= num_rows * (t + 1)):
             start = fh.tell()
             if _is_written(fh, block, params):
-                return BitMatrix.from_columns(num_rows, t, construction_columns(params)), provenance
+                return BitMatrix.of_construction(num_rows, t, params), provenance
             fh.seek(start)
         return _parse_rows(fh, block, num_rows, t, number), provenance
 

@@ -157,16 +157,18 @@ def _gathered(cols: list[int], base: int) -> list[int]:
 
 def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
     """Whether the in-memory matrix equals the construction of ``params``.
-    A matrix read_matrix took from a generated file was already recognised
-    by its bytes; this check serves every matrix, so it compares bits: after
-    has_dimensions, the columns one at a time against construction_columns.
-    Where columns_fit fails, construction_columns transposes every row of
-    the construction before it yields a column, so there a matrix that
-    differs is refused only after that whole transpose: a rejection costs
-    as much as an acceptance. The matrix's own columns are compared, so it
-    is not left holding rows for the scan."""
-    return (has_dimensions(params, matrix.num_rows, matrix.num_cols)
-            and all(map(operator.eq, matrix.columns(), construction_columns(params))))
+    A matrix read_matrix recognised by its bytes names its code in its
+    ``construction`` slot, and is accepted from that alone, with no bit
+    built. Any other matrix is compared bit for bit: after has_dimensions,
+    the columns one at a time against construction_columns. Where
+    columns_fit fails, construction_columns transposes every row of the
+    construction before it yields a column, so there a matrix that differs
+    is refused only after that whole transpose: a rejection costs as much
+    as an acceptance. The matrix's own columns are compared, so it is not
+    left holding rows for the scan."""
+    return matrix.construction == params or (
+        has_dimensions(params, matrix.num_rows, matrix.num_cols)
+        and all(map(operator.eq, matrix.columns(), construction_columns(params))))
 
 
 def _venn_vectors(params: CodeParams) -> Callable[[tuple[int, ...]], list[int]]:

@@ -199,7 +199,8 @@ class TestGen:
 
         for module in (code_core, matrix_io):
             monkeypatch.setattr(module, "construction_rows", refuse)
-            monkeypatch.setattr(module, "construction_columns", refuse)
+            # matrix_io does not import construction_columns; a later import is refused too.
+            monkeypatch.setattr(module, "construction_columns", refuse, raising=False)
         monkeypatch.setattr(code_core, "materialize", refuse)
         monkeypatch.setattr(code_core, "_transpose", refuse)
         path = tmp_path / "x.txt"
@@ -347,8 +348,9 @@ class TestVerify:
         assert err.startswith("error: line 7002: ")
 
     def test_verifies_without_a_transpose(self, capsys, tmp_path, monkeypatch):
-        # The file is read straight into columns and compared with columns
-        # built in closed form, in orbit mode and in full mode alike.
+        # The generated file is recognised by its bytes and decided by the
+        # escaping count with no bit built (orbit mode); the bare file is read
+        # straight into columns (full mode). Neither transposes.
         path = tmp_path / "x.txt"
         run(capsys, "gen", "8", "5", "2", "3", "--out", str(path))
         bare = tmp_path / "bare.txt"

@@ -1,13 +1,14 @@
 import itertools
 import random
 import time
+import tracemalloc
 import warnings
 
 import pytest
 from reference import (colex_sorted, column_weight, construction_rows, orbit_count,
                        scan_summary, transpose, witness_count, witness_counts)
 
-from cfcode import verification
+from cfcode import code_core, matrix_io, verification
 from cfcode.combinatorics import KSubset
 from cfcode.code_core import (
     TRANSPOSE_BLOCK_ROWS,
@@ -23,6 +24,7 @@ from cfcode.code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
+from cfcode.matrix_io import provenance_params, read_matrix, write_construction
 from cfcode.verification import (
     CoverFreeQuery,
     Verdict,
@@ -432,6 +434,94 @@ class TestOrbitMode:
         for other in (CodeParams(5, 3, 2, 2), CodeParams(5, 2, 1, 2),
                       CodeParams(10**6, 5 * 10**5, 2, 2)):
             assert verify_cover_free(m, 2, 1, construction=other).orbits is None
+
+
+class TestGeneratedFile:
+    """A file read_matrix recognised by its bytes is the construction its
+    header names: verify checks it by that name, not by its bits."""
+
+    @staticmethod
+    def _read_counting(path, monkeypatch):
+        """The matrix and params read from ``path``, and a log of the
+        construction_columns calls made by the read and from then on."""
+        calls = []
+        real = code_core.construction_columns
+        for module in (code_core, matrix_io, verification):
+            monkeypatch.setattr(module, "construction_columns",
+                                lambda params: calls.append(params) or real(params),
+                                raising=False)
+        matrix, provenance = read_matrix(path)
+        return matrix, provenance_params(provenance), calls
+
+    @pytest.mark.parametrize("quad", [(8, 6, 2, 5), (11, 5, 2, 3)],
+                             ids=lambda q: ",".join(map(str, q)))
+    def test_escaping_count_builds_no_columns(self, tmp_path, monkeypatch, quad):
+        # At its own (s, l) the escaping count decides, so neither the read
+        # nor the check builds a column, in closed form or by a transpose.
+        params = CodeParams(*quad)
+        expected = verify_cover_free(materialize(params), params.s, params.ell,
+                                     construction=params)
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        transposes = []
+        matrix, construction, calls = self._read_counting(path, monkeypatch)
+        real = code_core._transpose
+        monkeypatch.setattr(code_core, "_transpose",
+                            lambda *args: transposes.append(args) or real(*args))
+        verdict = verify_cover_free(matrix, params.s, params.ell, construction=construction)
+        assert verdict == expected and verdict.orbits is not None
+        assert calls == [] and transposes == []
+        assert matrix._rows is None and matrix._cols is None
+
+    def test_kernel_builds_columns_once(self, tmp_path, monkeypatch):
+        # Counting witnesses scans with the kernel, on columns built once.
+        params = CodeParams(7, 4, 2, 2)
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        matrix, construction, calls = self._read_counting(path, monkeypatch)
+        verdict = verify_cover_free(matrix, 2, 2, count_witnesses=True,
+                                    construction=construction)
+        assert calls == [params]
+        assert verdict == verify_cover_free(materialize(params), 2, 2, count_witnesses=True,
+                                            construction=params)
+
+    def test_read_and_verify_hold_no_columns(self, tmp_path):
+        # The 42 MB (12,6,2,3) file: its 924 columns of 45,760 rows would
+        # take 5.3 MB, and building them in closed form peaks at 10.7 MB.
+        params = CodeParams(12, 6, 2, 3)
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        tracemalloc.start()
+        try:
+            matrix, provenance = read_matrix(path)
+            verdict = verify_cover_free(matrix, 2, 3, construction=provenance_params(provenance))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds and verdict.orbits is not None
+        assert peak < 1 << 20
+
+    def test_set_clears_recognition(self, tmp_path):
+        # A bit cleared on the only witness row of one family: the edited
+        # matrix is no longer the construction, so it is scanned in full.
+        params = CodeParams(5, 3, 2, 1)
+        rows = construction_rows(5, 3, 2, 1)
+        neg, pos = next(f for f, c in witness_counts(rows, 10, 2, 1) if c == 1)
+        row_index = next(i for i, r in enumerate(rows) if witness_count([r], neg, pos))
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        matrix, provenance = read_matrix(path)
+        construction = provenance_params(provenance)
+        assert matrix.construction == construction == params
+        matrix.set(row_index, pos[0] - 1, 0)
+        assert matrix.construction is None
+        assert matrix.get(row_index, pos[0] - 1) == 0
+        rows[row_index] &= ~(1 << (pos[0] - 1))
+        assert matrix.rows == rows
+        verdict = verify_cover_free(matrix, 2, 1, construction=construction)
+        first_fail, _, _ = scan_summary(rows, 10, 2, 1)
+        assert verdict.orbits is None and not verdict.holds
+        assert _as_pair(verdict.counterexample) == first_fail
 
 
 class TestWitnessCounts:
