@@ -36,7 +36,7 @@ from .code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
-from .matrix_io import provenance_params, read_matrix, write_construction
+from .matrix_io import read_matrix, write_construction
 from .verification import WitnessSearchError, verify_cover_free, witness_row
 
 EXIT_OK = 0
@@ -115,10 +115,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    matrix, provenance = read_matrix(args.file)
-    verdict = verify_cover_free(matrix, args.s, args.l,
-                                count_witnesses=args.count_witnesses,
-                                construction=provenance_params(provenance))
+    matrix, _ = read_matrix(args.file)
+    verdict = verify_cover_free(matrix, args.s, args.l, count_witnesses=args.count_witnesses)
     bad, least = verdict.counterexample, verdict.min_family
     if args.json:
         payload = {"holds": verdict.holds, "s": args.s, "l": args.l,

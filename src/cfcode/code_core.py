@@ -157,9 +157,10 @@ class BitMatrix:
     first use, by one transpose.
 
     A matrix made by ``of_construction`` is in a third state: it holds
-    neither orientation, only the params in ``construction``, and its first
-    use of a bit builds construction_columns once. ``construction`` names
-    the code the matrix equals, or is None; ``set`` clears it."""
+    neither orientation, only the params in ``construction``; its first
+    ``rows`` streams construction_rows, any other first use of a bit builds
+    construction_columns once. ``construction`` is the one record that the
+    matrix is a code: of_construction and read_matrix set it, set clears it."""
 
     __slots__ = ("num_rows", "num_cols", "_rows", "_cols", "construction")
 
@@ -182,12 +183,13 @@ class BitMatrix:
         return matrix
 
     @classmethod
-    def of_construction(cls, num_rows: int, num_cols: int, params: CodeParams) -> "BitMatrix":
-        """The matrix of ``params``, which the caller has checked is
-        ``num_rows`` by ``num_cols``, with no bit built yet."""
+    def of_construction(cls, params: CodeParams) -> "BitMatrix":
+        """The matrix of ``params``, sized by dimensions(params), no bit built
+        yet: verify_cover_free checks it in orbit mode, materialize's in full."""
+        dims = dimensions(params)
         matrix = cls.__new__(cls)
         matrix._rows = matrix._cols = None
-        matrix.num_rows, matrix.num_cols, matrix.construction = num_rows, num_cols, params
+        matrix.num_rows, matrix.num_cols, matrix.construction = dims.num_rows, dims.num_cols, params
         return matrix
 
     @property
@@ -196,7 +198,8 @@ class BitMatrix:
         matrix's own: change bits through set(), which keeps both
         orientations in step."""
         if self._rows is None:
-            self._rows = _transpose(self.columns(), self.num_rows)
+            self._rows = (list(construction_rows(self.construction)) if self._cols is None
+                          else _transpose(self._cols, self.num_rows))
         return self._rows
 
     def columns(self) -> list[int]:

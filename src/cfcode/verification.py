@@ -15,8 +15,7 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .code_core import (BitMatrix, CodeParams, RowLabel, _require_column, column_masks,
-                        construction_columns, has_dimensions)
+from .code_core import BitMatrix, CodeParams, RowLabel, _require_column, column_masks
 from .combinatorics import KSubset, binomial, colex_subsets
 
 
@@ -155,22 +154,6 @@ def _gathered(cols: list[int], base: int) -> list[int]:
     return [int("".join(pick(format(c & base, fmt))), 2) for c in cols]
 
 
-def _is_construction(matrix: BitMatrix, params: CodeParams) -> bool:
-    """Whether the in-memory matrix equals the construction of ``params``.
-    A matrix read_matrix recognised by its bytes names its code in its
-    ``construction`` slot, and is accepted from that alone, with no bit
-    built. Any other matrix is compared bit for bit: after has_dimensions,
-    the columns one at a time against construction_columns. Where
-    columns_fit fails, construction_columns transposes every row of the
-    construction before it yields a column, so there a matrix that differs
-    is refused only after that whole transpose: a rejection costs as much
-    as an acceptance. The matrix's own columns are compared, so it is not
-    left holding rows for the scan."""
-    return matrix.construction == params or (
-        has_dimensions(params, matrix.num_rows, matrix.num_cols)
-        and all(map(operator.eq, matrix.columns(), construction_columns(params))))
-
-
 def _venn_vectors(params: CodeParams) -> Callable[[tuple[int, ...]], list[int]]:
     """A function from a negative family (1-based column positions) to its
     Venn vector: entry w counts the elements of [n] that lie in exactly the
@@ -275,8 +258,7 @@ def _escaping_verdict(params: CodeParams, s: int, ell: int) -> Verdict:
 
 
 def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
-                      count_witnesses: bool = False,
-                      construction: CodeParams | None = None) -> Verdict:
+                      count_witnesses: bool = False) -> Verdict:
     """Exhaustively test the cover-free condition over all disjoint (s, ell)
     column families.
 
@@ -287,9 +269,10 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     first family with it; a zero still ends the scan. ``threads`` is
     accepted and has no effect: the scan's big ints hold the interpreter lock.
 
-    When the matrix equals the construction of ``construction`` (orbit
-    mode), a permutation of [n] permutes its rows and its columns, so the
-    negative families of one S_n orbit have the same least witness count.
+    Orbit mode runs when ``matrix.construction`` names the code the matrix
+    is (see BitMatrix); any other matrix, a materialized one too, is walked
+    in full. A permutation of [n] permutes the code's rows and columns, so
+    the negative families of one S_n orbit have the same least witness count.
     When ``s`` and ``ell`` are at most the construction's and witnesses are
     not counted, the escaping-subset count decides without a scan (see
     _escaping_verdict): the types of s negative columns are enumerated, and
@@ -302,13 +285,11 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     _check_query_shape(matrix, s, ell)
     t = matrix.num_cols
     orbit_key = seen = None
-    # _is_construction's capped binomials refuse a wrong header at once, so
     # s! and C(t, s) are built only for a matrix that is the construction.
-    if (construction is not None and _is_construction(matrix, construction)
-            and math.factorial(s) <= binomial(t, s)):
-        if s <= construction.s and ell <= construction.ell and not count_witnesses:
-            return _escaping_verdict(construction, s, ell)
-        orbit_key, seen = _orbit_key(construction, s), set()
+    if (params := matrix.construction) is not None and math.factorial(s) <= binomial(t, s):
+        if s <= params.s and ell <= params.ell and not count_witnesses:
+            return _escaping_verdict(params, s, ell)
+        orbit_key, seen = _orbit_key(params, s), set()
     cols = matrix.columns()
     full = (1 << matrix.num_rows) - 1
     bound = matrix.num_rows + 1 if count_witnesses else 1

@@ -4,11 +4,15 @@ Everything here works on plain row ints (bit j of a row is column j, as in
 ``BitMatrix.rows``), on tuples of 1-based elements or column positions, and
 on the text of matrix files. Nothing is imported from cfcode, so these
 checks share no code with the package's bulk transpose, scan kernel, closed
-forms or block-wise file I/O.
+forms or block-wise file I/O. ``piped`` feeds a file's bytes to a reader
+through a pipe.
 """
 
+import contextlib
 import itertools
+import os
 import re
+import threading
 
 
 def colex_sorted(iterable):
@@ -149,3 +153,25 @@ def parse_matrix(text):
         # Bit j of the row is character j of the line.
         rows.append(int(line[::-1] or "0", 2))
     return num_cols, rows, provenance
+
+
+@contextlib.contextmanager
+def piped(data):
+    """A /dev/fd path to the read end of a pipe that a thread fills with
+    ``data``: a stream that cannot seek back, as ``cat m.txt | cfcode verify
+    /dev/stdin`` gives the reader. A reader that stops early leaves the
+    writer a broken pipe, which ends it."""
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with contextlib.suppress(BrokenPipeError), open(write_end, "wb") as out:
+            out.write(data)
+
+    thread = threading.Thread(target=feed)
+    thread.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        thread.join(timeout=60)
+        assert not thread.is_alive()

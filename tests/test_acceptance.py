@@ -415,15 +415,14 @@ def test_orbit_mode_matches_full_walk(grid, matrices, not_cover_free):
     # sets past E_min fail at their own (s, ell) in both modes.
     compared = failing = 0
     for params in grid:
-        matrix = matrices[params]
+        matrix, code = matrices[params], BitMatrix.of_construction(params)
         shapes = {(1, 1), (1, 2), (2, 1), (2, 2), (params.s, params.ell)}
         for s, ell in sorted(shapes):
             if s + ell > matrix.num_cols:
                 continue
             for count in (False, True):
                 full = verify_cover_free(matrix, s, ell, count_witnesses=count)
-                orbit = verify_cover_free(matrix, s, ell, count_witnesses=count,
-                                          construction=params)
+                orbit = verify_cover_free(code, s, ell, count_witnesses=count)
                 assert full.orbits is None and orbit.orbits is not None
                 assert replace(orbit, orbits=None) == full, (_fmt(params), s, ell, count)
                 compared += 1

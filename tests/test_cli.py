@@ -11,11 +11,11 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from reference import scan_summary, witness_count, witness_counts
+from reference import piped, scan_summary, witness_count, witness_counts
 
 import cfcode
 from cfcode.cli import main
-from cfcode import cli, code_core, matrix_io, verification
+from cfcode import cli, code_core, matrix_io
 from cfcode.code_core import CodeParams, ParameterWarning, RowLabel, materialize
 from cfcode.combinatorics import KSubset
 from cfcode.matrix_io import read_matrix
@@ -383,19 +383,20 @@ class TestVerifyMode:
 
     def test_many_members_compare_rows_in_little_memory(self, capsys, tmp_path):
         # (16,15,8,1) has 12,870 members but 16 columns: the members' rows
-        # alone would be about 10 MB, the matrix's rows about 0.5 MB.
+        # alone would be about 10 MB, the matrix's rows about 0.5 MB. A piped
+        # file is parsed and then compared with the construction.
         path = tmp_path / "x.txt"
         run(capsys, "gen", "16", "15", "8", "1", "--out", str(path))
-        matrix, _ = read_matrix(path)
         with pytest.warns(ParameterWarning):
             params = CodeParams(16, 15, 8, 1)
-        tracemalloc.start()
-        try:
-            same = verification._is_construction(matrix, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert same
+        with piped(path.read_bytes()) as fd_path:
+            tracemalloc.start()
+            try:
+                matrix, _ = read_matrix(fd_path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert matrix.construction == params
         assert peak < 4 << 20
 
     def test_generated_file_runs_in_orbit_mode(self, capsys, tmp_path):

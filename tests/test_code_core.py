@@ -512,6 +512,18 @@ class TestBitMatrix:
         assert m.rows == [1]
         assert peak < 1 << 20
 
+    # (8,6,2,5) meets columns_fit; (12,11,6,2), 924 members for 12 columns,
+    # does not, so its columns would be its rows transposed.
+    @pytest.mark.parametrize("quad", [(8, 6, 2, 5), (12, 11, 6, 2)])
+    def test_construction_rows_are_streamed_not_transposed(self, quad, monkeypatch):
+        params = CodeParams(*quad)
+        expected = list(code_core.construction_rows(params))
+        calls = []
+        monkeypatch.setattr(code_core, "construction_columns", calls.append)
+        matrix = BitMatrix.of_construction(params)
+        assert matrix.rows == expected
+        assert calls == [] and matrix._cols is None
+
     def test_equality_needs_a_matrix_of_the_same_shape(self):
         m = BitMatrix(2, 3, [1, 2])
         assert m != [1, 2]

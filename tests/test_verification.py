@@ -5,7 +5,7 @@ import tracemalloc
 import warnings
 
 import pytest
-from reference import (colex_sorted, column_weight, construction_rows, orbit_count,
+from reference import (colex_sorted, column_weight, construction_rows, orbit_count, piped,
                        scan_summary, transpose, witness_count, witness_counts)
 
 from cfcode import code_core, matrix_io, verification
@@ -17,14 +17,13 @@ from cfcode.code_core import (
     ParameterWarning,
     column_from_rank,
     column_rank,
-    construction_columns,
     dimensions,
     entry,
     materialize,
     row_label_from_rank,
     row_rank_from_label,
 )
-from cfcode.matrix_io import provenance_params, read_matrix, write_construction
+from cfcode.matrix_io import provenance_params, read_matrix, write_construction, write_matrix
 from cfcode.verification import (
     CoverFreeQuery,
     Verdict,
@@ -295,8 +294,8 @@ class TestOrbitMode:
             log, real = calls.setdefault(name, []), getattr(verification, name)
             monkeypatch.setattr(verification, name,
                                 lambda *args, log=log, real=real: log.append(args) or real(*args))
-        verdict = verify_cover_free(materialize(params), s, params.ell,
-                                    count_witnesses=count, construction=params)
+        verdict = verify_cover_free(BitMatrix.of_construction(params), s, params.ell,
+                                    count_witnesses=count)
         return verdict, calls
 
     @pytest.mark.parametrize("quad, s, orbits", OWN_SHAPES)
@@ -320,7 +319,7 @@ class TestOrbitMode:
         # 998 positive columns of 999: the kernel steps 996 positions above
         # its pair tail, with no recursion on ell.
         params = CodeParams(1000, 999, 1, 1)
-        verdict = verify_cover_free(materialize(params), 1, 998, construction=params)
+        verdict = verify_cover_free(BitMatrix.of_construction(params), 1, 998)
         assert verdict.holds and verdict.orbits == 1
 
     @pytest.mark.parametrize("n, k, s", [
@@ -363,7 +362,7 @@ class TestOrbitMode:
         assert min(verification.escaping_count(c, params.s) for c in types) >= params.ell
         m = materialize(params)
         full = verify_cover_free(m, s, ell)
-        orbit = verify_cover_free(m, s, ell, construction=params)
+        orbit = verify_cover_free(BitMatrix.of_construction(params), s, ell)
         assert not full.holds and orbit.orbits is not None
         assert orbit == Verdict(full.holds, full.counterexample, full.witness_count,
                                 full.min_family, orbit.orbits)
@@ -373,7 +372,8 @@ class TestOrbitMode:
         # On 10 columns 5! = 120 <= C(10,5) = 252, but 6! = 720 > C(10,6) = 210.
         params = CodeParams(5, 3, 2, 2)
         m = materialize(params)
-        verdict = verify_cover_free(m, s, 2, count_witnesses=True, construction=params)
+        verdict = verify_cover_free(BitMatrix.of_construction(params), s, 2,
+                                    count_witnesses=True)
         assert (verdict.orbits is not None) is orbit
         full = verify_cover_free(m, s, 2, count_witnesses=True)
         assert verdict == Verdict(full.holds, full.counterexample, full.witness_count,
@@ -381,23 +381,27 @@ class TestOrbitMode:
 
     def test_failure_keeps_the_first_counterexample(self):
         params = CodeParams(8, 6, 2, 5)
-        verdict = verify_cover_free(materialize(params), 2, 5, construction=params)
+        verdict = verify_cover_free(BitMatrix.of_construction(params), 2, 5)
         assert not verdict.holds
         assert verdict.counterexample == CoverFreeQuery((3, 8), (1, 2, 4, 5, 6))
         assert verdict.orbits == 2
 
-    def test_row_side_check_keeps_no_rows(self):
+    def test_row_side_check_keeps_no_rows(self, tmp_path):
         # (12,11,6,2) has 924 members for 12 columns, so the check compares
         # rows, 426,426 of them: about 17 MB as ints, left to the scan if the
-        # matrix kept them. A bit cleared in the last row fails the check.
+        # matrix kept them. A piped file is checked after its parse; a bit
+        # cleared in the last row fails the check.
         params = CodeParams(12, 11, 6, 2)
-        num_rows = dimensions(params).num_rows
-        cols = list(construction_columns(params))
-        flipped = list(cols)
-        flipped[5] &= ~(1 << (num_rows - 1))
-        for columns, mode in ((cols, 1), (flipped, None)):
-            m = BitMatrix.from_columns(num_rows, 12, columns)
-            verdict = verify_cover_free(m, 1, 1, construction=params)
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        data = path.read_bytes()
+        at = len(data) - 13 + 5  # column 5 of the last row
+        assert data[at:at + 1] == b"1"
+        for source, mode in ((data, 1), (data[:at] + b"0" + data[at + 1:], None)):
+            with piped(source) as fd_path:
+                m, _ = read_matrix(fd_path)
+            assert m.construction == (params if mode else None)
+            verdict = verify_cover_free(m, 1, 1)
             assert verdict.holds and verdict.orbits == mode
             assert m._rows is None
 
@@ -409,15 +413,17 @@ class TestOrbitMode:
         params = CodeParams(10, 9, 5, 2)
         cols = transpose(construction_rows(10, 9, 5, 2), 10)
         num_rows = dimensions(params).num_rows
-        assert verification._is_construction(BitMatrix.from_columns(num_rows, 10, cols), params)
+        assert matrix_io._equals_construction(BitMatrix.from_columns(num_rows, 10, cols), params)
         for row in (0, TRANSPOSE_BLOCK_ROWS - 1, TRANSPOSE_BLOCK_ROWS, num_rows - 1):
             for col in (0, 9):
                 flipped = list(cols)
                 flipped[col] ^= 1 << row
                 m = BitMatrix.from_columns(num_rows, 10, flipped)
-                assert not verification._is_construction(m, params), (row, col)
+                assert not matrix_io._equals_construction(m, params), (row, col)
 
-    def test_other_matrices_use_the_full_walk(self):
+    def test_other_matrices_use_the_full_walk(self, tmp_path):
+        # Files whose header names params, read from disk and from a pipe:
+        # an edited or reordered matrix is parsed and scanned in full.
         params = CodeParams(5, 3, 2, 1)
         m = materialize(params)
         neg, pos = next(f for f, c in witness_counts(m.rows, m.num_cols, 2, 1) if c == 1)
@@ -425,15 +431,27 @@ class TestOrbitMode:
         flipped = BitMatrix(m.num_rows, m.num_cols, list(m.rows))
         flipped.set(row_index, pos[0] - 1, 0)
         shuffled = BitMatrix(m.num_rows, m.num_cols, m.rows[::-1])
+        path = tmp_path / "m.txt"
+
+        def reads(matrix, header):
+            write_matrix(matrix, path, header)
+            with piped(path.read_bytes()) as fd_path:
+                return [read_matrix(path)[0], read_matrix(fd_path)[0]]
+
         for matrix in (flipped, shuffled):
-            verdict = verify_cover_free(matrix, 2, 1, construction=params)
-            assert verdict.orbits is None
-            assert verdict == verify_cover_free(matrix, 2, 1)
-        assert not verify_cover_free(flipped, 2, 1, construction=params).holds
-        # Params naming a code of another shape, small or far larger.
+            for read in reads(matrix, params):
+                assert read.construction is None
+                verdict = verify_cover_free(read, 2, 1)
+                assert verdict.orbits is None
+                assert verdict == verify_cover_free(matrix, 2, 1)
+        assert not verify_cover_free(flipped, 2, 1).holds
+        # A header naming a code of another shape, small or far larger;
+        # (5,2,1,2) has this matrix's 10 rows and 10 columns.
         for other in (CodeParams(5, 3, 2, 2), CodeParams(5, 2, 1, 2),
                       CodeParams(10**6, 5 * 10**5, 2, 2)):
-            assert verify_cover_free(m, 2, 1, construction=other).orbits is None
+            for read in reads(m, other):
+                assert read.construction is None
+                assert verify_cover_free(read, 2, 1).orbits is None
 
 
 class TestGeneratedFile:
@@ -450,8 +468,8 @@ class TestGeneratedFile:
             monkeypatch.setattr(module, "construction_columns",
                                 lambda params: calls.append(params) or real(params),
                                 raising=False)
-        matrix, provenance = read_matrix(path)
-        return matrix, provenance_params(provenance), calls
+        matrix, _ = read_matrix(path)
+        return matrix, calls
 
     @pytest.mark.parametrize("quad", [(8, 6, 2, 5), (11, 5, 2, 3)],
                              ids=lambda q: ",".join(map(str, q)))
@@ -459,16 +477,15 @@ class TestGeneratedFile:
         # At its own (s, l) the escaping count decides, so neither the read
         # nor the check builds a column, in closed form or by a transpose.
         params = CodeParams(*quad)
-        expected = verify_cover_free(materialize(params), params.s, params.ell,
-                                     construction=params)
+        expected = verify_cover_free(BitMatrix.of_construction(params), params.s, params.ell)
         path = tmp_path / "m.txt"
         write_construction(params, path)
         transposes = []
-        matrix, construction, calls = self._read_counting(path, monkeypatch)
+        matrix, calls = self._read_counting(path, monkeypatch)
         real = code_core._transpose
         monkeypatch.setattr(code_core, "_transpose",
                             lambda *args: transposes.append(args) or real(*args))
-        verdict = verify_cover_free(matrix, params.s, params.ell, construction=construction)
+        verdict = verify_cover_free(matrix, params.s, params.ell)
         assert verdict == expected and verdict.orbits is not None
         assert calls == [] and transposes == []
         assert matrix._rows is None and matrix._cols is None
@@ -478,12 +495,11 @@ class TestGeneratedFile:
         params = CodeParams(7, 4, 2, 2)
         path = tmp_path / "m.txt"
         write_construction(params, path)
-        matrix, construction, calls = self._read_counting(path, monkeypatch)
-        verdict = verify_cover_free(matrix, 2, 2, count_witnesses=True,
-                                    construction=construction)
+        matrix, calls = self._read_counting(path, monkeypatch)
+        verdict = verify_cover_free(matrix, 2, 2, count_witnesses=True)
         assert calls == [params]
-        assert verdict == verify_cover_free(materialize(params), 2, 2, count_witnesses=True,
-                                            construction=params)
+        assert verdict == verify_cover_free(BitMatrix.of_construction(params), 2, 2,
+                                            count_witnesses=True)
 
     def test_read_and_verify_hold_no_columns(self, tmp_path):
         # The 42 MB (12,6,2,3) file: its 924 columns of 45,760 rows would
@@ -493,13 +509,53 @@ class TestGeneratedFile:
         write_construction(params, path)
         tracemalloc.start()
         try:
-            matrix, provenance = read_matrix(path)
-            verdict = verify_cover_free(matrix, 2, 3, construction=provenance_params(provenance))
+            matrix, _ = read_matrix(path)
+            verdict = verify_cover_free(matrix, 2, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert verdict.holds and verdict.orbits is not None
         assert peak < 1 << 20
+
+    def test_edited_file_builds_no_columns(self, tmp_path, monkeypatch):
+        # The last data character flipped: the byte compare fails, which
+        # shows the bits differ, so neither the read nor verify builds the
+        # construction's columns, and the file is scanned in full as the
+        # same edit with no header is.
+        params = CodeParams(12, 11, 6, 2)
+        path, bare = tmp_path / "m.txt", tmp_path / "bare.txt"
+        write_construction(params, path)
+        data = path.read_bytes()
+        path.write_bytes(data[:-2] + (b"1" if data[-2:-1] == b"0" else b"0") + b"\n")
+        bare.write_bytes(b"".join(line for line in path.read_bytes().splitlines(keepends=True)
+                                  if not line.startswith(b"#")))
+        expected = verify_cover_free(read_matrix(bare)[0], 1, 1)
+        matrix, calls = self._read_counting(path, monkeypatch)
+        verdict = verify_cover_free(matrix, 1, 1)
+        assert calls == []
+        assert matrix.construction is None
+        assert verdict == expected and verdict.orbits is None
+
+    def test_piped_file_keeps_orbit_mode(self, tmp_path):
+        # A pipe cannot seek back to compare the file with the writer's
+        # bytes, so the parsed matrix is compared with the construction's
+        # columns; a full scan of (12,6,2,2) at (2,2) is about 1.8e11
+        # families. A flipped copy fails that check.
+        params = CodeParams(12, 6, 2, 2)
+        path = tmp_path / "m.txt"
+        write_construction(params, path)
+        data = path.read_bytes()
+        with piped(data) as fd_path:
+            matrix, provenance = read_matrix(fd_path)
+        assert matrix.construction == params
+        assert provenance == {"n": 12, "k": 6, "s": 2, "ell": 2}
+        verdict = verify_cover_free(matrix, 2, 2)
+        assert verdict.orbits == 6
+        assert verdict == verify_cover_free(read_matrix(path)[0], 2, 2)
+        with piped(data[:-2] + (b"1" if data[-2:-1] == b"0" else b"0") + b"\n") as fd_path:
+            flipped, _ = read_matrix(fd_path)
+        assert flipped.construction is None
+        assert flipped != matrix
 
     def test_set_clears_recognition(self, tmp_path):
         # A bit cleared on the only witness row of one family: the edited
@@ -518,7 +574,7 @@ class TestGeneratedFile:
         assert matrix.get(row_index, pos[0] - 1) == 0
         rows[row_index] &= ~(1 << (pos[0] - 1))
         assert matrix.rows == rows
-        verdict = verify_cover_free(matrix, 2, 1, construction=construction)
+        verdict = verify_cover_free(matrix, 2, 1)
         first_fail, _, _ = scan_summary(rows, 10, 2, 1)
         assert verdict.orbits is None and not verdict.holds
         assert _as_pair(verdict.counterexample) == first_fail
