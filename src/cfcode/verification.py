@@ -21,11 +21,13 @@ from .combinatorics import KSubset, binomial, colex_subsets
 
 # A scan with ell >= 2 gathers the remaining columns to the rows that escape
 # the negative family once those rows fill less than one bit in
-# GATHER_SPARSITY of their span. A gather costs a format and a parse of the
-# span per column, which a dense span would pay on every negative family for
-# little saving: gathering on every scan made the full walk of (9,5,2,2)
-# take 15.0 s instead of 4.9. The full walks of (9,5,2,2), (8,6,2,5) and
-# (8,4,2,2) took the same time for thresholds from 16 to 256.
+# GATHER_SPARSITY of their span, and otherwise ANDs the columns whole. A
+# gather costs a format and a parse of the span per column, which a dense
+# span would pay on every negative family for little saving. Against whole
+# columns, gathering on every scan made the full walk of (9,5,2,2) take
+# 9.4-9.9 s instead of 3.0-3.7. A threshold of 8 made the full walk of
+# (8,5,2,3) take 2.63 s instead of 2.38 and the counting pass of (11,5,2,3)
+# at (2,2) 1.64 s instead of 1.42; 16 and 32 were no faster than 64.
 GATHER_SPARSITY = 64
 
 
@@ -307,16 +309,12 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
         negs = set(neg)
         rest = [c for c in range(1, t + 1) if c not in negs]
         masks, prefix = [cols[c - 1] for c in rest], base
-        # At ell == 1 each column is ANDed once; cutting it first would cost
-        # as much. A zero base fails at the colex-first family.
-        if ell >= 2 and base:
-            # Each column is ANDed many times: cut it to the candidate rows,
-            # and gather those rows together when they are sparse.
-            if base.bit_length() > GATHER_SPARSITY * base.bit_count():
-                masks, prefix = _gathered(masks, base), (1 << base.bit_count()) - 1
-            else:
-                low = (base & -base).bit_length() - 1
-                masks, prefix = [(c & base) >> low for c in masks], base >> low
+        # At ell == 1 each column is ANDed once, so a gather would cost as
+        # much as it saves. Every AND starts from base, so it runs in base's
+        # length, not the column's. A zero base is never gathered and fails
+        # at the colex-first family.
+        if ell >= 2 and base.bit_length() > GATHER_SPARSITY * base.bit_count():
+            masks, prefix = _gathered(masks, base), (1 << base.bit_count()) - 1
         hit = _first_least(masks, prefix, ell, bound)
         if hit is not None:
             bound, positions = hit

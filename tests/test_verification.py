@@ -158,6 +158,13 @@ class TestKernelAgainstBruteForce:
                 # holding it leaves no candidate rows at all.
                 rows = [r | 1 for r in rows]
             yield BitMatrix(num_rows, num_cols, rows)
+        # Columns 1 and 2 are set on the low 90% of about 600 rows, so a
+        # negative family holding either leaves only rows high in the order:
+        # the scan ANDs whole columns over a long run of low zero rows.
+        for num_rows in (590, 600, 613):
+            low = num_rows * 9 // 10
+            yield BitMatrix(num_rows, 6, [rng.getrandbits(6) | (0b11 if i < low else 0)
+                                          for i in range(num_rows)])
         # Random matrices rarely satisfy the property; these codes do for
         # small (s, ell), with many families tied at the least count.
         for params in (CodeParams(4, 2, 1, 1), CodeParams(5, 3, 2, 1),
