@@ -13,9 +13,9 @@ generated file is byte-identical across runs and platforms.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-import operator
 import os
 import re
 import warnings
@@ -24,8 +24,8 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterError,
-                        ParameterWarning, column_masks, construction_columns, construction_rows,
-                        dimensions, has_dimensions)
+                        ParameterWarning, column_masks, construction_rows, dimensions,
+                        has_dimensions)
 from .combinatorics import colex_subsets
 
 MAGIC = "cfcode v1"
@@ -202,11 +202,9 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     write_construction writes, levels of text or rows past
     LEVEL_WRITE_MAX_COLS columns; if they match to the end, the file is
     that code, returned by BitMatrix.of_construction with no bit built and
-    no data line parsed. Any other file is parsed by _parse_rows, which
-    alone raises MatrixFormatError, naming the first offending line. A file
-    that failed the compare parses to other bits; one that could not be
-    compared, on a stream that cannot seek back, is the code, and says so in
-    ``construction``, if _equals_construction holds after the parse.
+    no data line parsed. Any other file, or one that failed the compare, is
+    parsed by _parse_rows, which alone raises MatrixFormatError naming the
+    first offending line. A stream that cannot seek back is compared on a copy.
     """
     provenance: dict[str, int] | None = None
     with open(path, encoding="ascii", errors="surrogateescape") as fh:
@@ -239,20 +237,29 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
         params = provenance_params(provenance)
         # has_dimensions' capped binomials refuse a header naming a larger
         # code before any binomial of it is built. The writer's bytes are
-        # built only for a file long enough to hold them, on a stream that
-        # can seek back to the data lines.
+        # built only for a file long enough to hold them.
         if params is None or not has_dimensions(params, num_rows, t):
-            params = None
-        elif fh.seekable() and os.fstat(fh.fileno()).st_size >= num_rows * (t + 1):
-            start = fh.tell()
-            if _is_written(fh, block, params):
-                return BitMatrix.of_construction(params), provenance
-            fh.seek(start)
-            params = None
-        matrix = _parse_rows(fh, block, num_rows, t, number)
-        if params is not None and _equals_construction(matrix, params):
-            matrix.construction = params
-        return matrix, provenance
+            return _parse_rows(fh, block, num_rows, t, number), provenance
+        with contextlib.nullcontext(fh) if fh.seekable() else _copy(fh, block) as data:
+            if os.fstat(data.fileno()).st_size >= num_rows * (t + 1):
+                start = data.tell()
+                if _is_written(data, block, params):
+                    return BitMatrix.of_construction(params), provenance
+                data.seek(start)
+            return _parse_rows(data, block, num_rows, t, number), provenance
+
+
+@contextlib.contextmanager
+def _copy(fh: TextIO, head: bytes) -> Iterator[TextIO]:
+    """``head`` and the rest of ``fh`` in a temporary file, positioned past ``head``."""
+    import shutil
+    import tempfile
+    with tempfile.TemporaryFile("w+", encoding="ascii", errors="surrogateescape") as copy:
+        copy.write(_text(head))
+        start = copy.tell()
+        shutil.copyfileobj(fh, copy, BLOCK_CHARS)
+        copy.seek(start)
+        yield copy
 
 
 def _is_written(fh: TextIO, head: bytes, params: CodeParams) -> bool:
@@ -265,14 +272,6 @@ def _is_written(fh: TextIO, head: bytes, params: CodeParams) -> bool:
         if got + _read(fh, len(block) - len(got)) != block:
             return False
     return not head and not fh.read(1)
-
-
-def _equals_construction(matrix: BitMatrix, params: CodeParams) -> bool:
-    """Whether the parsed ``matrix``, sized as the code of ``params``, has
-    its bits: its columns compared one at a time with construction_columns,
-    which where columns_fit fails transposes every row of the code before
-    it yields one, so a matrix that differs is refused only after that."""
-    return all(map(operator.eq, matrix.columns(), construction_columns(params)))
 
 
 def _parse_rows(fh: TextIO, block: bytes, num_rows: int, t: int, number: int) -> BitMatrix:

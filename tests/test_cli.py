@@ -384,7 +384,7 @@ class TestVerifyMode:
     def test_many_members_compare_rows_in_little_memory(self, capsys, tmp_path):
         # (16,15,8,1) has 12,870 members but 16 columns: the members' rows
         # alone would be about 10 MB, the matrix's rows about 0.5 MB. A piped
-        # file is parsed and then compared with the construction.
+        # file is copied to a temporary file and compared with gen's bytes.
         path = tmp_path / "x.txt"
         run(capsys, "gen", "16", "15", "8", "1", "--out", str(path))
         with pytest.warns(ParameterWarning):

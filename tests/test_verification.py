@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 from reference import (colex_sorted, column_weight, construction_rows, orbit_count, piped,
-                       scan_summary, transpose, witness_count, witness_counts)
+                       scan_summary, witness_count, witness_counts)
 
 from cfcode import code_core, matrix_io, verification
 from cfcode.combinatorics import KSubset
@@ -396,8 +396,8 @@ class TestOrbitMode:
     def test_row_side_check_keeps_no_rows(self, tmp_path):
         # (12,11,6,2) has 924 members for 12 columns, so the check compares
         # rows, 426,426 of them: about 17 MB as ints, left to the scan if the
-        # matrix kept them. A piped file is checked after its parse; a bit
-        # cleared in the last row fails the check.
+        # matrix kept them. A piped file is compared on a temporary copy; a
+        # bit cleared in the last row fails the compare.
         params = CodeParams(12, 11, 6, 2)
         path = tmp_path / "m.txt"
         write_construction(params, path)
@@ -412,21 +412,31 @@ class TestOrbitMode:
             assert verdict.holds and verdict.orbits == mode
             assert m._rows is None
 
-    def test_row_side_check_refuses_one_flipped_bit(self):
-        # (10,9,5,2) fails columns_fit, so construction_columns transposes its
-        # 31,626 rows, 16 blocks of TRANSPOSE_BLOCK_ROWS. A bit flipped on
-        # either side of the first block boundary, or at either end, in the
-        # first or the last column, is seen.
+    def test_row_side_check_refuses_one_flipped_bit(self, tmp_path):
+        # (10,9,5,2) is 31,626 rows, which gen writes in 16 windows of
+        # TRANSPOSE_BLOCK_ROWS lines. A bit flipped on either side of the
+        # first window boundary, or at either end, in the first or the last
+        # column, fails the byte compare from disk and from a pipe; the file
+        # is then scanned as the same edit with no header is.
         params = CodeParams(10, 9, 5, 2)
-        cols = transpose(construction_rows(10, 9, 5, 2), 10)
+        path, bare = tmp_path / "m.txt", tmp_path / "bare.txt"
+        write_construction(params, path)
+        data = path.read_bytes()
         num_rows = dimensions(params).num_rows
-        assert matrix_io._equals_construction(BitMatrix.from_columns(num_rows, 10, cols), params)
+        first = len(data) - num_rows * 11  # offset of the first data line
         for row in (0, TRANSPOSE_BLOCK_ROWS - 1, TRANSPOSE_BLOCK_ROWS, num_rows - 1):
             for col in (0, 9):
-                flipped = list(cols)
-                flipped[col] ^= 1 << row
-                m = BitMatrix.from_columns(num_rows, 10, flipped)
-                assert not matrix_io._equals_construction(m, params), (row, col)
+                at = first + row * 11 + col
+                edited = data[:at] + (b"1" if data[at:at + 1] == b"0" else b"0") + data[at + 1:]
+                path.write_bytes(edited)
+                bare.write_bytes(b"".join(line for line in edited.splitlines(keepends=True)
+                                          if not line.startswith(b"#")))
+                expected = verify_cover_free(read_matrix(bare)[0], 1, 1)
+                with piped(edited) as fd_path:
+                    reads = [read_matrix(path)[0], read_matrix(fd_path)[0]]
+                for m in reads:
+                    assert m.construction is None, (row, col)
+                    assert verify_cover_free(m, 1, 1) == expected, (row, col)
 
     def test_other_matrices_use_the_full_walk(self, tmp_path):
         # Files whose header names params, read from disk and from a pipe:
@@ -544,10 +554,10 @@ class TestGeneratedFile:
         assert verdict == expected and verdict.orbits is None
 
     def test_piped_file_keeps_orbit_mode(self, tmp_path):
-        # A pipe cannot seek back to compare the file with the writer's
-        # bytes, so the parsed matrix is compared with the construction's
-        # columns; a full scan of (12,6,2,2) at (2,2) is about 1.8e11
-        # families. A flipped copy fails that check.
+        # A pipe cannot seek back, so its data lines are copied to a
+        # temporary file and compared there with the writer's bytes; a full
+        # scan of (12,6,2,2) at (2,2) is about 1.8e11 families. A flipped
+        # copy fails that compare.
         params = CodeParams(12, 6, 2, 2)
         path = tmp_path / "m.txt"
         write_construction(params, path)
