@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, TextIO
 
 from .code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterError,
-                        ParameterWarning, column_masks, construction_rows, dimensions,
+                        ParameterWarning, _member_unions, column_masks, dimensions,
                         has_dimensions)
 from .combinatorics import colex_subsets
 
@@ -58,19 +58,24 @@ def write_matrix(matrix: BitMatrix, path: str | Path,
 
 def write_construction(params: CodeParams, path: str | Path) -> None:
     """Write the matrix of ``params``, with its provenance comment, as the
-    blocks of _construction_blocks build it, level by level in text or row
-    by row; read_matrix recognises the file by comparing with those blocks."""
+    blocks of _construction_blocks build it from the member patterns of
+    _member_patterns, level by level in text or row by row; read_matrix
+    recognises the file by comparing with those blocks."""
     dims = dimensions(params)
     _write(path, dims.num_rows, dims.num_cols, params, _construction_blocks(params))
 
 
 def _construction_blocks(params: CodeParams) -> Iterator[bytes]:
     """The data lines of the matrix of ``params``, a block at a time, with no
-    row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else rows."""
+    row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else the
+    rows, each the OR of its members' patterns (code_core._member_unions
+    with s = 1), written by _top_first_blocks with no reversal."""
     t = dimensions(params).num_cols
     if t <= LEVEL_WRITE_MAX_COLS:
         return _level_blocks(params)
-    return _row_blocks(construction_rows(params), t)
+    patterns = list(_member_patterns(params))
+    rows = _member_unions(patterns, 1, len(patterns), params.ell)
+    return _top_first_blocks(rows, max(1, BLOCK_CHARS // (t + 1)))
 
 
 def _write(path: str | Path, num_rows: int, t: int, params: CodeParams | None,
@@ -84,10 +89,10 @@ def _write(path: str | Path, num_rows: int, t: int, params: CodeParams | None,
 
 
 def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
-    """The data lines of ``rows``, a block of about BLOCK_CHARS bytes at a
-    time: the block's rows are formatted last row first and the joined
-    string is reversed once, which puts the rows in order with column 0
-    first."""
+    """The data lines of write_matrix's ``rows`` (bit j = column j), a block
+    of about BLOCK_CHARS bytes at a time: the block's rows are formatted last
+    row first and the joined string is reversed once, which puts the rows in
+    order with column 0 first."""
     fmt = f"0{t}b"
     step = max(1, BLOCK_CHARS // (t + 1))
     rows = iter(rows)
@@ -97,22 +102,41 @@ def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
         yield ("\n" + "\n".join(lines))[::-1].encode()
 
 
+def _member_patterns(params: CodeParams) -> Iterator[int]:
+    """The column pattern of each of the C(n,s) members of ``params``, in
+    colex order, streamed: column 0 is the top bit of the t columns, under a sentinel
+    bit 1 << t, so bin() of a pattern, or of an OR of patterns, is "0b1"
+    and then the data line. A member's pattern is the AND of its elements'
+    patterns, and element e's is the stride slice of column_masks' numerals
+    that holds bit e of each mask, after a "1" for the sentinel."""
+    n, masks = params.n, column_masks(params.n, params.k)
+    numerals = "".join([format(mask, f"0{n + 1}b") for mask in masks])
+    element = [int("1" + numerals[n - e::n + 1], 2) for e in range(n + 1)]
+    return (reduce(int.__and__, map(element.__getitem__, sub))
+            for sub in colex_subsets(params.s, n))
+
+
+def _top_first_blocks(rows: Iterable[int], step: int) -> Iterator[bytes]:
+    """The data lines of ``rows``, patterns as _member_patterns sets them
+    out, ``step`` rows a block; the sentinel fixes each line's width, so it
+    is bin() of the row past its first three characters."""
+    rows = iter(rows)
+    while block := list(itertools.islice(rows, step)):
+        yield ("\n".join([bin(row)[3:] for row in block]) + "\n").encode()
+
+
 def _level_blocks(params: CodeParams) -> Iterator[bytes]:
     """The data lines of the matrix of ``params``, as text level by level.
-    Level 1 is the m = C(n,s) member lines, ANDs of element patterns sliced
-    from column_masks' numerals. Level j's families with top member c are
-    level j-1's first C(c,j-1) lines with 1s strided into c's columns. Each
-    level grows in one buffer; level ell is yielded a window at a time."""
-    n, s, ell, masks = params.n, params.s, params.ell, column_masks(params.n, params.k)
-    width, fmt = len(masks) + 1, f"0{len(masks)}b"
-    numerals = "".join([format(mask, f"0{n + 1}b") for mask in masks])
-    element = [int(numerals[n - e::n + 1], 2) for e in range(n + 1)]
-    members = (reduce(int.__and__, map(element.__getitem__, sub)) for sub in colex_subsets(s, n))
+    Level 1 is the m = C(n,s) member lines of _member_patterns. Level j's
+    families with top member c are level j-1's first C(c,j-1) lines with 1s
+    strided into c's columns. Each level grows in one buffer; level ell is
+    yielded a window at a time."""
+    ell, patterns = params.ell, _member_patterns(params)
     if ell == 1:
-        while window := [format(v, fmt) for v in itertools.islice(members, TRANSPOSE_BLOCK_ROWS)]:
-            yield ("\n".join(window) + "\n").encode()
+        yield from _top_first_blocks(patterns, TRANSPOSE_BLOCK_ROWS)
         return
-    lines = [format(v, fmt) for v in members]
+    lines = [bin(v)[3:] for v in patterns]
+    width = len(lines[0]) + 1
     holds = [[col for col, bit in enumerate(line) if bit == "1"] for line in lines]
     level, m = bytearray("\n".join(lines) + "\n", "ascii"), len(lines)
     for j in range(2, ell + 1):

@@ -72,7 +72,9 @@ class Verdict:
     the first family with that few; otherwise both are None. ``orbits`` is
     None in full mode. In orbit mode it is the number of negative-family
     types when the escaping-subset count decides, failing or not, and
-    otherwise the number of orbits scanned, up to the counterexample's.
+    otherwise the number of orbits scanned, up to the counterexample's; a
+    walk that holds ends at the last orbit's first family when the orbits
+    are counted in closed form (s <= 2), and its count is the same.
     """
 
     holds: bool
@@ -194,6 +196,15 @@ def _orbit_key(params: CodeParams, s: int) -> Callable[[tuple[int, ...]], tuple[
     return lambda neg: canonical(venn(neg))
 
 
+def _orbit_total(n: int, k: int, s: int) -> int | None:
+    """The number of S_n orbits of families of s distinct k-subsets of [n]
+    where a closed form gives it, else None: one at s = 1, and at s = 2 one
+    per size of the meet of two, max(0, 2k - n) to k - 1."""
+    if s == 1:
+        return 1
+    return k - max(0, 2 * k - n) if s == 2 else None
+
+
 def _venn_types(n: int, k: int, s: int) -> list[tuple[int, ...]]:
     """The canonical Venn vectors of the families of s distinct k-subsets of
     [n], one per S_n orbit, built a set at a time; sets not yet added are
@@ -281,17 +292,21 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
     a colex walk runs only to name a failure. Otherwise the walk scans only
     the first family of each orbit: a later one can beat neither the bound
     its orbit's first member set nor that member's place in colex order, so
-    the verdict is the one the full walk gives. Canonical forms try all s!
-    orderings, so orbit mode runs only when s! <= C(t, s).
+    the verdict is the one the full walk gives. At s <= 2 the orbits are
+    counted in closed form (_orbit_total), and the walk stops once it has
+    seen them all. At s >= 3 it runs on to the last family: counting the
+    types up front doubled the cost of a failing query. Canonical forms try
+    all s! orderings, so orbit mode runs only when s! <= C(t, s).
     """
     _check_query_shape(matrix, s, ell)
     t = matrix.num_cols
-    orbit_key = seen = None
+    orbit_key = seen = total = None
     # s! and C(t, s) are built only for a matrix that is the construction.
     if (params := matrix.construction) is not None and math.factorial(s) <= binomial(t, s):
         if s <= params.s and ell <= params.ell and not count_witnesses:
             return _escaping_verdict(params, s, ell)
         orbit_key, seen = _orbit_key(params, s), set()
+        total = _orbit_total(params.n, params.k, s)
     cols = matrix.columns()
     full = (1 << matrix.num_rows) - 1
     bound = matrix.num_rows + 1 if count_witnesses else 1
@@ -321,6 +336,8 @@ def verify_cover_free(matrix: BitMatrix, s: int, ell: int, *, threads: int = 1,
             least = CoverFreeQuery(neg, tuple(rest[p] for p in positions))
             if not bound:
                 break
+        if total is not None and len(seen) == total:
+            break
     orbits = None if seen is None else len(seen)
     if not bound:
         return Verdict(False, least, 0, least, orbits)

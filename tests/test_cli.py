@@ -198,9 +198,9 @@ class TestGen:
             raise AssertionError("gen built rows, columns or a transpose")
 
         for module in (code_core, matrix_io):
-            monkeypatch.setattr(module, "construction_rows", refuse)
-            # matrix_io does not import construction_columns; a later import is refused too.
-            monkeypatch.setattr(module, "construction_columns", refuse, raising=False)
+            # matrix_io imports neither; a later import is refused too.
+            for name in ("construction_rows", "construction_columns"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
         monkeypatch.setattr(code_core, "materialize", refuse)
         monkeypatch.setattr(code_core, "_transpose", refuse)
         path = tmp_path / "x.txt"
@@ -213,6 +213,29 @@ class TestGen:
                  "ade3c1d36d5b8baf7bd6ee0014c6b7b4582eb60b511e8894390ec180f29b1da2"),
                 (("10", "9", "5", "2"), "31626x10",
                  "a65392a9f1ef292c97b5b5ee9a093f4b05a87f8b32b5ba20e2a1c3565fc003ca")):
+            code, out, _ = run(capsys, "gen", *argv, "--out", str(path))
+            assert code == 0 and out.endswith(f"{size}\n")
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_wide_file_written_without_rows_or_transpose(self, capsys, tmp_path, monkeypatch):
+        # Files past 256 columns are written row by row from the member
+        # patterns, column 0 on top, with no construction_rows and no
+        # transpose. Their bytes are pinned to those the reversing row
+        # writer wrote: l = 2 and l = 3 at 462 columns, and l = 999 at 1,000.
+        def refuse(*args, **kwargs):
+            raise AssertionError("gen built construction rows or a transpose")
+
+        for module in (code_core, matrix_io):
+            monkeypatch.setattr(module, "construction_rows", refuse, raising=False)
+        monkeypatch.setattr(code_core, "_transpose", refuse)
+        path = tmp_path / "x.txt"
+        for argv, size, digest in (
+                (("11", "5", "2", "2"), "1485x462",
+                 "36b7fc82072d0bfc6d7d7a9596399f0655debd6a58b3d853eff8420602d7d067"),
+                (("11", "5", "2", "3"), "26235x462",
+                 "c26d9028d6b5d7dc858e01ed72d58db43df82458ffae80b8f7be5c90c682bfea"),
+                (("1000", "999", "1", "999"), "1000x1000",
+                 "b4bef1a5065a6c368e150e14af4167008838a27eb0e06f05730915737d9dc3af")):
             code, out, _ = run(capsys, "gen", *argv, "--out", str(path))
             assert code == 0 and out.endswith(f"{size}\n")
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest

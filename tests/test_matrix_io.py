@@ -323,6 +323,26 @@ def test_level_blocks_match_reference(monkeypatch, params, window):
     assert text == format_matrix(rows, math.comb(params[0], params[1])).split("\n", 2)[2]
 
 
+@pytest.mark.parametrize("params", [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6),
+                                    (8, 6, 2, 5), (10, 9, 5, 2), (16, 15, 8, 1)],
+                         ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("block_chars", [BLOCK_CHARS, 100])
+def test_row_blocks_match_reference(monkeypatch, params, block_chars):
+    # With no shape written level by level, every one is written row by row
+    # from the member patterns; blocks of 100 characters hold from 2 to 25
+    # rows, so block edges fall all through the data. Every block but the
+    # last holds as many whole rows as fit.
+    monkeypatch.setattr(matrix_io, "LEVEL_WRITE_MAX_COLS", 0)
+    monkeypatch.setattr(matrix_io, "BLOCK_CHARS", block_chars)
+    num_cols = math.comb(params[0], params[1])
+    step = max(1, block_chars // (num_cols + 1))
+    blocks = list(matrix_io._construction_blocks(CodeParams(*params)))
+    assert [block.count(b"\n") for block in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert 0 < blocks[-1].count(b"\n") <= step
+    text = b"".join(blocks).decode()
+    assert text == format_matrix(construction_rows(*params), num_cols).split("\n", 2)[2]
+
+
 def test_zero_row_header_allocates_nothing_wide(tmp_path):
     # The header's width is not trusted before a data line proves it.
     path = tmp_path / "m.txt"

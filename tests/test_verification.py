@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import time
 import tracemalloc
@@ -321,6 +322,46 @@ class TestOrbitMode:
         assert verdict.holds
         assert verdict.orbits == len(calls["_first_least"]) == orbits
         assert len(calls["_orbit_key"]) == 1
+
+    def test_orbit_total_matches_orbit_count(self):
+        # The closed form for one or two columns against the brute-force
+        # orbit count wherever that takes a moment (every s = 1 shape, s = 2
+        # up to 120 columns), and against the enumerated types for n < 16.
+        for n in range(2, 16):
+            for k in range(1, n):
+                for s in (1, 2):
+                    total = verification._orbit_total(n, k, s)
+                    assert total == len(verification._venn_types(n, k, s)), (n, k, s)
+                    if n <= 12 and (s == 1 or math.comb(n, k) <= 120):
+                        assert total == orbit_count(n, k, s), (n, k, s)
+        assert verification._orbit_total(7, 4, 3) is None
+
+    def test_counting_walk_stops_at_the_last_orbit(self, monkeypatch):
+        # At s = 2 the keyed walk of (7,4,2,2) ends where its third and last
+        # orbit first appears, at (13,16): 118 families keyed of the 595.
+        # The verdict is the full walk's, and the one a walk keying every
+        # family gives, orbit count included.
+        params = CodeParams(7, 4, 2, 2)
+        keyed = []
+        real = verification._orbit_key
+
+        def spy(*args):
+            key = real(*args)
+            return lambda neg: keyed.append(neg) or key(neg)
+
+        monkeypatch.setattr(verification, "_orbit_key", spy)
+        verdict = verify_cover_free(BitMatrix.of_construction(params), 2, 2,
+                                    count_witnesses=True)
+        assert len(keyed) == 118 and keyed[-1] == (13, 16)
+        assert verdict.orbits == 3
+        full = verify_cover_free(materialize(params), 2, 2, count_witnesses=True)
+        assert full == Verdict(verdict.holds, verdict.counterexample, verdict.witness_count,
+                               verdict.min_family)
+        keyed.clear()
+        monkeypatch.setattr(verification, "_orbit_total", lambda n, k, s: None)
+        assert verify_cover_free(BitMatrix.of_construction(params), 2, 2,
+                                 count_witnesses=True) == verdict
+        assert len(keyed) == math.comb(35, 2)
 
     def test_deep_positive_families(self):
         # 998 positive columns of 999: the kernel steps 996 positions above
