@@ -307,9 +307,11 @@ def test_column_blocks_match_reference(tmp_path, num_rows, num_cols):
 
 # Top blocks cut at window edges ((8,6,2,5), (7,4,2,6)), deep l ((6,4,2,13))
 # and l = 1, where the member lines are the rows.
-@pytest.mark.parametrize("params", [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6),
-                                    (8, 6, 2, 5), (10, 9, 5, 2), (16, 15, 8, 1)],
-                         ids=lambda p: ",".join(map(str, p)))
+WRITER_SHAPES = [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6), (8, 6, 2, 5),
+                 (10, 9, 5, 2), (16, 15, 8, 1)]
+
+
+@pytest.mark.parametrize("params", WRITER_SHAPES, ids=lambda p: ",".join(map(str, p)))
 @pytest.mark.parametrize("window", [TRANSPOSE_BLOCK_ROWS, 7])
 def test_level_blocks_match_reference(monkeypatch, params, window):
     # Windows of 7 lines cut the blocks of every level, held ones included.
@@ -323,9 +325,7 @@ def test_level_blocks_match_reference(monkeypatch, params, window):
     assert text == format_matrix(rows, math.comb(params[0], params[1])).split("\n", 2)[2]
 
 
-@pytest.mark.parametrize("params", [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6),
-                                    (8, 6, 2, 5), (10, 9, 5, 2), (16, 15, 8, 1)],
-                         ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("params", WRITER_SHAPES, ids=lambda p: ",".join(map(str, p)))
 @pytest.mark.parametrize("block_chars", [BLOCK_CHARS, 100])
 def test_row_blocks_match_reference(monkeypatch, params, block_chars):
     # With no shape written level by level, every one is written row by row

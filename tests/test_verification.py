@@ -4,6 +4,7 @@ import random
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import pytest
 from reference import (colex_sorted, column_weight, construction_rows, orbit_count, piped,
@@ -355,8 +356,7 @@ class TestOrbitMode:
         assert len(keyed) == 118 and keyed[-1] == (13, 16)
         assert verdict.orbits == 3
         full = verify_cover_free(materialize(params), 2, 2, count_witnesses=True)
-        assert full == Verdict(verdict.holds, verdict.counterexample, verdict.witness_count,
-                               verdict.min_family)
+        assert replace(verdict, orbits=None) == full
         keyed.clear()
         monkeypatch.setattr(verification, "_orbit_total", lambda n, k, s: None)
         assert verify_cover_free(BitMatrix.of_construction(params), 2, 2,
