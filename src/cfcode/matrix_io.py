@@ -104,11 +104,12 @@ def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
 
 def _member_patterns(params: CodeParams) -> Iterator[int]:
     """The column pattern of each of the C(n,s) members of ``params``, in
-    colex order, streamed: column 0 is the top bit of the t columns, under a sentinel
-    bit 1 << t, so bin() of a pattern, or of an OR of patterns, is "0b1"
-    and then the data line. A member's pattern is the AND of its elements'
-    patterns, and element e's is the stride slice of column_masks' numerals
-    that holds bit e of each mask, after a "1" for the sentinel."""
+    colex order, streamed: column 0 is the top bit of the t columns, under
+    a sentinel bit 1 << t, so bin() of a pattern, or of an OR of patterns,
+    is "0b1" and then the data line. A member's pattern is the AND of its
+    elements' patterns, and element e's is the stride slice of
+    column_masks' numerals that holds bit e of each mask, after a "1" for
+    the sentinel."""
     n, masks = params.n, column_masks(params.n, params.k)
     numerals = "".join([format(mask, f"0{n + 1}b") for mask in masks])
     element = [int("1" + numerals[n - e::n + 1], 2) for e in range(n + 1)]

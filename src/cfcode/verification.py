@@ -72,9 +72,9 @@ class Verdict:
     the first family with that few; otherwise both are None. ``orbits`` is
     None in full mode. In orbit mode it is the number of negative-family
     types when the escaping-subset count decides, failing or not, and
-    otherwise the number of orbits scanned, up to the counterexample's; a
-    walk that holds ends at the last orbit's first family when the orbits
-    are counted in closed form (s <= 2), and its count is the same.
+    otherwise the number of orbits scanned, up to the counterexample's; at
+    s <= 2 the walk ends once it has seen every orbit (see
+    verify_cover_free), which leaves the count as it was.
     """
 
     holds: bool
