@@ -99,6 +99,7 @@ def orbit_count(n, k, s):
 
     def root(f):
         while parent[f] != f:
+            parent[f] = parent[parent[f]]  # path halving keeps the chains short
             f = parent[f]
         return f
 

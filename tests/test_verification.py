@@ -327,13 +327,13 @@ class TestOrbitMode:
     def test_orbit_total_matches_orbit_count(self):
         # The closed form for one or two columns against the brute-force
         # orbit count wherever that takes a moment (every s = 1 shape, s = 2
-        # up to 120 columns), and against the enumerated types for n < 16.
+        # up to 252 columns), and against the enumerated types for n < 16.
         for n in range(2, 16):
             for k in range(1, n):
                 for s in (1, 2):
                     total = verification._orbit_total(n, k, s)
                     assert total == len(verification._venn_types(n, k, s)), (n, k, s)
-                    if n <= 12 and (s == 1 or math.comb(n, k) <= 120):
+                    if n <= 12 and (s == 1 or math.comb(n, k) <= 252):
                         assert total == orbit_count(n, k, s), (n, k, s)
         assert verification._orbit_total(7, 4, 3) is None
 
