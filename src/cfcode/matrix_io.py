@@ -51,9 +51,12 @@ class MatrixFormatError(ValueError):
 
 def write_matrix(matrix: BitMatrix, path: str | Path,
                  params: CodeParams | None = None) -> None:
-    """Write the matrix; a provenance comment is added when params is given."""
-    _write(path, matrix.num_rows, matrix.num_cols, params,
-           _row_blocks(matrix.rows, matrix.num_cols))
+    """Write the matrix; a provenance comment is added when params is given.
+    A matrix whose ``construction`` is set, as read_matrix returns for a
+    generated file, is written from _construction_blocks, with no row built."""
+    blocks = (_row_blocks(matrix.rows, matrix.num_cols) if matrix.construction is None
+              else _construction_blocks(matrix.construction))
+    _write(path, matrix.num_rows, matrix.num_cols, params, blocks)
 
 
 def write_construction(params: CodeParams, path: str | Path) -> None:
@@ -67,15 +70,18 @@ def write_construction(params: CodeParams, path: str | Path) -> None:
 
 def _construction_blocks(params: CodeParams) -> Iterator[bytes]:
     """The data lines of the matrix of ``params``, a block at a time, with no
-    row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else the
-    rows, each the OR of its members' patterns (code_core._member_unions
-    with s = 1), written by _top_first_blocks with no reversal."""
+    row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else
+    blocks of as many rows as fit in BLOCK_CHARS, each row the OR of its
+    members' patterns and each block formatted by one bin(): the member
+    patterns themselves at ell = 1 (_top_first_blocks), _union_blocks
+    above."""
     t = dimensions(params).num_cols
     if t <= LEVEL_WRITE_MAX_COLS:
         return _level_blocks(params)
-    patterns = list(_member_patterns(params))
-    rows = _member_unions(patterns, 1, len(patterns), params.ell)
-    return _top_first_blocks(rows, max(1, BLOCK_CHARS // (t + 1)))
+    step = max(1, BLOCK_CHARS // (t + 1))
+    if params.ell == 1:
+        return _top_first_blocks(_member_patterns(params), step, t)
+    return _union_blocks(list(_member_patterns(params)), params.ell, step, t)
 
 
 def _write(path: str | Path, num_rows: int, t: int, params: CodeParams | None,
@@ -117,13 +123,78 @@ def _member_patterns(params: CodeParams) -> Iterator[int]:
             for sub in colex_subsets(params.s, n))
 
 
-def _top_first_blocks(rows: Iterable[int], step: int) -> Iterator[bytes]:
+def _top_first_blocks(rows: Iterable[int], step: int, t: int) -> Iterator[bytearray]:
     """The data lines of ``rows``, patterns as _member_patterns sets them
-    out, ``step`` rows a block; the sentinel fixes each line's width, so it
-    is bin() of the row past its first three characters."""
+    out, ``step`` rows a block, each block _stacked and written by _lines."""
     rows = iter(rows)
     while block := list(itertools.islice(rows, step)):
-        yield ("\n".join([bin(row)[3:] for row in block]) + "\n").encode()
+        yield _lines(_stacked(block, t + 1) << 1 | 1, len(block), t)
+
+
+def _union_blocks(patterns: list[int], ell: int, step: int, t: int) -> Iterator[bytearray]:
+    """The rows of the ell-subsets of the members, ell >= 2, in colex order,
+    ``step`` a block as _lines writes them. The rows whose top member is c
+    are the first C(c,ell-1) unions of (ell-1)-subsets of the members below
+    c (code_core._member_unions with s = 1), each ORed with c's pattern.
+    Those unions are _stacked once, ``step`` to a window over a 0 bit, and
+    only the windows are held, about the bits of the unions. A block's rows
+    of top member c are rows of one window or of two adjacent ones, ORed
+    with c's pattern repeated over at least as many rows above a 1 bit,
+    which ends the block's last line."""
+    width = t + 1
+    lower = _member_unions(patterns, 1, len(patterns) - 1, ell - 1)
+    windows = []
+    while rows := list(itertools.islice(lower, step)):
+        windows.append(_stacked(rows, width) << ((step - len(rows)) * width + 1))
+    block = held = 0
+    for c in range(ell - 1, len(patterns)):
+        size = math.comb(c, ell - 1)
+        rep, reps = patterns[c] << 1 | 1, 1
+        while reps < min(size, step):
+            rep |= rep << reps * width
+            reps *= 2
+        # Pieces end where blocks do, so every piece but the first starts
+        # at row step - held of a window: the mask keeps that window's rows
+        # from there down.
+        mask = (1 << held * width + 1) - 1
+        for a in range(-held, size, step):
+            lo, hi = max(a, 0), min(size, a + step)
+            w, top = divmod(lo, step)
+            window = windows[w] & mask if top else windows[w]
+            end = top + hi - lo
+            piece = (window >> (step - end) * width if end <= step else
+                     window << (end - step) * width | windows[w + 1] >> (2 * step - end) * width)
+            piece |= rep >> (reps - hi + lo) * width
+            block = block << (hi - lo) * width | piece if held else piece
+            held += hi - lo
+            if held == step:
+                yield _lines(block, step, t)
+                held = 0
+    if held:
+        yield _lines(block, held, t)
+
+
+def _stacked(rows: list[int], width: int) -> int:
+    """``rows`` of ``width`` bits in one int, the first on top. Adjacent
+    runs are joined in pairs, each round doubling the rows a run holds, so
+    each bit moves about log2(len(rows)) times."""
+    rows = rows[::-1]
+    while len(rows) > 1:
+        pairs = zip(rows[::2], rows[1::2])
+        rows = [low | high << width for low, high in pairs] + rows[len(rows) & ~1:]
+        width *= 2
+    return rows[0]
+
+
+def _lines(block: int, count: int, t: int) -> bytearray:
+    """The data lines of the ``count`` rows of ``t`` columns stacked
+    top-first in ``block``, each under its sentinel bit, over a 1 bit: bin()
+    gives a 1 where each line ends, and one stride assignment makes those
+    newlines."""
+    text = bytearray(bin(block).encode())
+    del text[:3]  # "0b" and the first sentinel
+    text[t::t + 1] = b"\n" * count
+    return text
 
 
 def _level_blocks(params: CodeParams) -> Iterator[bytes]:
@@ -134,7 +205,7 @@ def _level_blocks(params: CodeParams) -> Iterator[bytes]:
     yielded a window at a time."""
     ell, patterns = params.ell, _member_patterns(params)
     if ell == 1:
-        yield from _top_first_blocks(patterns, TRANSPOSE_BLOCK_ROWS)
+        yield from _top_first_blocks(patterns, TRANSPOSE_BLOCK_ROWS, dimensions(params).num_cols)
         return
     lines = [bin(v)[3:] for v in patterns]
     width = len(lines[0]) + 1

@@ -322,16 +322,18 @@ def test_level_blocks_match_reference(monkeypatch, params, window):
     assert [block.count(b"\n") for block in blocks[:-1]] == [window] * (len(blocks) - 1)
     assert blocks[-1].count(b"\n") <= window
     text = b"".join(blocks).decode()
-    assert text == format_matrix(rows, math.comb(params[0], params[1])).split("\n", 2)[2]
+    reference = format_matrix(rows, math.comb(params[0], params[1])).split("\n", 2)[2]
+    assert _first_difference(text, reference) is None
 
 
 @pytest.mark.parametrize("params", WRITER_SHAPES, ids=lambda p: ",".join(map(str, p)))
-@pytest.mark.parametrize("block_chars", [BLOCK_CHARS, 100])
+@pytest.mark.parametrize("block_chars", [BLOCK_CHARS, 100, 1])
 def test_row_blocks_match_reference(monkeypatch, params, block_chars):
     # With no shape written level by level, every one is written row by row
     # from the member patterns; blocks of 100 characters hold from 2 to 25
-    # rows, so block edges fall all through the data. Every block but the
-    # last holds as many whole rows as fit.
+    # rows, so block edges fall all through the data, and blocks of one
+    # row put a block edge at every group and window edge. Every block but
+    # the last holds as many whole rows as fit.
     monkeypatch.setattr(matrix_io, "LEVEL_WRITE_MAX_COLS", 0)
     monkeypatch.setattr(matrix_io, "BLOCK_CHARS", block_chars)
     num_cols = math.comb(params[0], params[1])
@@ -340,7 +342,35 @@ def test_row_blocks_match_reference(monkeypatch, params, block_chars):
     assert [block.count(b"\n") for block in blocks[:-1]] == [step] * (len(blocks) - 1)
     assert 0 < blocks[-1].count(b"\n") <= step
     text = b"".join(blocks).decode()
-    assert text == format_matrix(construction_rows(*params), num_cols).split("\n", 2)[2]
+    reference = format_matrix(construction_rows(*params), num_cols).split("\n", 2)[2]
+    assert _first_difference(text, reference) is None
+
+
+def _first_difference(text, reference):
+    """None when ``text`` is ``reference``, else the index of the first line
+    where they differ and both lines: a failure names one line of a file
+    rather than diffing the whole of it."""
+    pairs = itertools.zip_longest(text.split("\n"), reference.split("\n"))
+    return next(((i, got, want) for i, (got, want) in enumerate(pairs) if got != want), None)
+
+
+def test_recognised_matrix_written_as_its_construction(tmp_path):
+    # A matrix read from a generated file holds only its params; writing it
+    # streams the construction's blocks, as gen does, and builds no rows.
+    # (12,6,2,3) is 45,760 rows of 924 columns, about 7.2 MB as a row list.
+    params = CodeParams(12, 6, 2, 3)
+    path, out = tmp_path / "m.txt", tmp_path / "out.txt"
+    write_construction(params, path)
+    matrix, _ = read_matrix(path)
+    tracemalloc.start()
+    try:
+        write_matrix(matrix, out, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == path.read_bytes()
+    assert peak < 2 << 20
+    assert matrix._rows is None
 
 
 def test_zero_row_header_allocates_nothing_wide(tmp_path):
