@@ -21,6 +21,7 @@ from typing import Iterator, Sequence
 
 from .combinatorics import KSubset
 from .code_core import (
+    BitMatrix,
     BudgetError,
     CodeParams,
     MATERIALIZE_BIT_BUDGET,
@@ -36,7 +37,7 @@ from .code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
-from .matrix_io import read_matrix, write_construction
+from .matrix_io import read_matrix, write_matrix
 from .verification import WitnessSearchError, verify_cover_free, witness_row
 
 EXIT_OK = 0
@@ -109,7 +110,7 @@ def _cmd_params(args: argparse.Namespace) -> int:
 def _cmd_gen(args: argparse.Namespace) -> int:
     params = CodeParams(args.n, args.k, args.s, args.l)
     dims = budgeted_dimensions(params, args.max_bits)
-    write_construction(params, args.out)
+    write_matrix(BitMatrix.of_construction(params), args.out, params)
     print(f"{args.out}: {dims.num_rows}x{dims.num_cols}")
     return EXIT_OK
 

@@ -52,29 +52,26 @@ class MatrixFormatError(ValueError):
 def write_matrix(matrix: BitMatrix, path: str | Path,
                  params: CodeParams | None = None) -> None:
     """Write the matrix; a provenance comment is added when params is given.
-    A matrix whose ``construction`` is set, as read_matrix returns for a
-    generated file, is written from _construction_blocks, with no row built."""
+    A matrix whose ``construction`` is set, as BitMatrix.of_construction
+    makes for gen and read_matrix returns for a generated file, is written
+    from _construction_blocks, with no row built."""
     blocks = (_row_blocks(matrix.rows, matrix.num_cols) if matrix.construction is None
               else _construction_blocks(matrix.construction))
-    _write(path, matrix.num_rows, matrix.num_cols, params, blocks)
+    header = f"{MAGIC}\n{matrix.num_rows} {matrix.num_cols}\n"
+    if params is not None:
+        header += f"# n={params.n} k={params.k} s={params.s} l={params.ell}\n"
+    with open(path, "wb") as fh:
+        fh.write(header.encode())
+        fh.writelines(blocks)
 
 
-def write_construction(params: CodeParams, path: str | Path) -> None:
-    """Write the matrix of ``params``, with its provenance comment, as the
-    blocks of _construction_blocks build it from the member patterns of
-    _member_patterns, level by level in text or row by row; read_matrix
-    recognises the file by comparing with those blocks."""
-    dims = dimensions(params)
-    _write(path, dims.num_rows, dims.num_cols, params, _construction_blocks(params))
-
-
-def _construction_blocks(params: CodeParams) -> Iterator[bytes]:
+def _construction_blocks(params: CodeParams) -> Iterator[bytearray]:
     """The data lines of the matrix of ``params``, a block at a time, with no
     row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else
     blocks of as many rows as fit in BLOCK_CHARS, each row the OR of its
-    members' patterns and each block formatted by one bin(): the member
-    patterns themselves at ell = 1 (_top_first_blocks), _union_blocks
-    above."""
+    members' patterns and each block formatted by one bin() in _lines: the
+    member patterns themselves at ell = 1 (_top_first_blocks),
+    _union_blocks above."""
     t = dimensions(params).num_cols
     if t <= LEVEL_WRITE_MAX_COLS:
         return _level_blocks(params)
@@ -82,16 +79,6 @@ def _construction_blocks(params: CodeParams) -> Iterator[bytes]:
     if params.ell == 1:
         return _top_first_blocks(_member_patterns(params), step, t)
     return _union_blocks(list(_member_patterns(params)), params.ell, step, t)
-
-
-def _write(path: str | Path, num_rows: int, t: int, params: CodeParams | None,
-           blocks: Iterable[bytes]) -> None:
-    header = f"{MAGIC}\n{num_rows} {t}\n"
-    if params is not None:
-        header += f"# n={params.n} k={params.k} s={params.s} l={params.ell}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.writelines(blocks)
 
 
 def _row_blocks(rows: Iterable[int], t: int) -> Iterator[bytes]:
@@ -128,7 +115,7 @@ def _top_first_blocks(rows: Iterable[int], step: int, t: int) -> Iterator[bytear
     out, ``step`` rows a block, each block _stacked and written by _lines."""
     rows = iter(rows)
     while block := list(itertools.islice(rows, step)):
-        yield _lines(_stacked(block, t + 1) << 1 | 1, len(block), t)
+        yield _lines(_stacked(block, t + 1), len(block), t)
 
 
 def _union_blocks(patterns: list[int], ell: int, step: int, t: int) -> Iterator[bytearray]:
@@ -136,27 +123,26 @@ def _union_blocks(patterns: list[int], ell: int, step: int, t: int) -> Iterator[
     ``step`` a block as _lines writes them. The rows whose top member is c
     are the first C(c,ell-1) unions of (ell-1)-subsets of the members below
     c (code_core._member_unions with s = 1), each ORed with c's pattern.
-    Those unions are _stacked once, ``step`` to a window over a 0 bit, and
-    only the windows are held, about the bits of the unions. A block's rows
-    of top member c are rows of one window or of two adjacent ones, ORed
-    with c's pattern repeated over at least as many rows above a 1 bit,
-    which ends the block's last line."""
+    Those unions are _stacked once, ``step`` to a window, and only the
+    windows are held, about the bits of the unions. A block's rows of top
+    member c are rows of one window or of two adjacent ones, ORed with c's
+    pattern repeated over at least as many rows."""
     width = t + 1
     lower = _member_unions(patterns, 1, len(patterns) - 1, ell - 1)
     windows = []
     while rows := list(itertools.islice(lower, step)):
-        windows.append(_stacked(rows, width) << ((step - len(rows)) * width + 1))
+        windows.append(_stacked(rows, width) << (step - len(rows)) * width)
     block = held = 0
     for c in range(ell - 1, len(patterns)):
         size = math.comb(c, ell - 1)
-        rep, reps = patterns[c] << 1 | 1, 1
+        rep, reps = patterns[c], 1
         while reps < min(size, step):
             rep |= rep << reps * width
             reps *= 2
         # Pieces end where blocks do, so every piece but the first starts
         # at row step - held of a window: the mask keeps that window's rows
         # from there down.
-        mask = (1 << held * width + 1) - 1
+        mask = (1 << held * width) - 1
         for a in range(-held, size, step):
             lo, hi = max(a, 0), min(size, a + step)
             w, top = divmod(lo, step)
@@ -188,16 +174,16 @@ def _stacked(rows: list[int], width: int) -> int:
 
 def _lines(block: int, count: int, t: int) -> bytearray:
     """The data lines of the ``count`` rows of ``t`` columns stacked
-    top-first in ``block``, each under its sentinel bit, over a 1 bit: bin()
+    top-first in ``block``, each under its sentinel bit: bin(block << 1 | 1)
     gives a 1 where each line ends, and one stride assignment makes those
     newlines."""
-    text = bytearray(bin(block).encode())
+    text = bytearray(bin(block << 1 | 1).encode())
     del text[:3]  # "0b" and the first sentinel
     text[t::t + 1] = b"\n" * count
     return text
 
 
-def _level_blocks(params: CodeParams) -> Iterator[bytes]:
+def _level_blocks(params: CodeParams) -> Iterator[bytearray]:
     """The data lines of the matrix of ``params``, as text level by level.
     Level 1 is the m = C(n,s) member lines of _member_patterns. Level j's
     families with top member c are level j-1's first C(c,j-1) lines with 1s
@@ -295,7 +281,7 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     to its bytes. Header and comment lines are read one at a time. A file
     whose header names a code of the size line's dimensions is first
     compared, a block at a time as it is read, with the blocks
-    write_construction writes, levels of text or rows past
+    _construction_blocks gives write_matrix, levels of text or rows past
     LEVEL_WRITE_MAX_COLS columns; if they match to the end, the file is
     that code, returned by BitMatrix.of_construction with no bit built and
     no data line parsed. Any other file, or one that failed the compare, is
@@ -360,9 +346,10 @@ def _copy(fh: TextIO, head: bytes) -> Iterator[TextIO]:
 
 def _is_written(fh: TextIO, head: bytes, params: CodeParams) -> bool:
     """Whether ``head``, the first data line, and the rest of ``fh`` are the
-    data lines write_construction writes for ``params``, byte for byte. Each
-    block of _construction_blocks is compared with as much of the file, read
-    as _read reads it; the first block that differs ends the compare."""
+    data lines write_matrix writes for the construction of ``params``, byte
+    for byte. Each block of _construction_blocks is compared with as much of
+    the file, read as _read reads it; the first block that differs ends the
+    compare."""
     for block in _construction_blocks(params):
         got, head = head[:len(block)], head[len(block):]
         if got + _read(fh, len(block) - len(got)) != block:

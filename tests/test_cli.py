@@ -240,6 +240,33 @@ class TestGen:
             assert code == 0 and out.endswith(f"{size}\n")
             assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    def test_writes_through_write_matrix(self, capsys, tmp_path, monkeypatch):
+        # gen writes the matrix of its params, no bit built, through
+        # write_matrix on both writer sides, so a tracer of that layer sees
+        # every file gen writes.
+        calls = []
+        write = cli.write_matrix
+
+        def record(matrix, path, params=None):
+            calls.append((matrix, params))
+            write(matrix, path, params)
+
+        monkeypatch.setattr(cli, "write_matrix", record)
+        path = tmp_path / "x.txt"
+        for argv, digest in (
+                (("8", "6", "2", "5"),
+                 "09e7868a1af1bb6f800fe068e317509578ab157f5bd3556e6572df053b668448"),
+                (("11", "5", "2", "3"),
+                 "c26d9028d6b5d7dc858e01ed72d58db43df82458ffae80b8f7be5c90c682bfea")):
+            calls.clear()
+            code, _, _ = run(capsys, "gen", *argv, "--out", str(path))
+            params = CodeParams(*map(int, argv))
+            assert code == 0 and len(calls) == 1
+            matrix, written = calls[0]
+            assert matrix.construction == written == params
+            assert matrix._rows is None and matrix._cols is None
+            assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
     @pytest.mark.parametrize("argv, bound", [(("8", "6", "2", "5"), 5 << 18),
                                              (("12", "11", "6", "2"), 1 << 20)],
                              ids=["8,6,2,5", "12,11,6,2"])

@@ -32,7 +32,7 @@ from cfcode.code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
-from cfcode.matrix_io import write_construction
+from cfcode.matrix_io import write_matrix
 from cfcode.verification import witness_row
 
 
@@ -336,7 +336,7 @@ class TestMaterialize:
         t = binomial(quad[0], quad[1])
         assert list(code_core.construction_columns(params)) == transpose(rows, t)
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         comment = "# n={} k={} s={} l={}".format(*quad)
         assert path.read_text() == format_matrix(rows, t, [comment])
 

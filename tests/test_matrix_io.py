@@ -12,8 +12,7 @@ from reference import construction_rows, format_matrix, parse_matrix, piped, tra
 from cfcode import matrix_io
 from cfcode.code_core import (TRANSPOSE_BLOCK_ROWS, BitMatrix, CodeParams, ParameterWarning,
                               materialize)
-from cfcode.matrix_io import (BLOCK_CHARS, MatrixFormatError, read_matrix, write_construction,
-                              write_matrix)
+from cfcode.matrix_io import BLOCK_CHARS, MatrixFormatError, read_matrix, write_matrix
 
 
 @pytest.fixture(autouse=True)
@@ -357,20 +356,22 @@ def _first_difference(text, reference):
 def test_recognised_matrix_written_as_its_construction(tmp_path):
     # A matrix read from a generated file holds only its params; writing it
     # streams the construction's blocks, as gen does, and builds no rows.
-    # (12,6,2,3) is 45,760 rows of 924 columns, about 7.2 MB as a row list.
-    params = CodeParams(12, 6, 2, 3)
-    path, out = tmp_path / "m.txt", tmp_path / "out.txt"
-    write_construction(params, path)
-    matrix, _ = read_matrix(path)
-    tracemalloc.start()
-    try:
-        write_matrix(matrix, out, params)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert out.read_bytes() == path.read_bytes()
-    assert peak < 2 << 20
-    assert matrix._rows is None
+    # (12,6,2,3) is 45,760 rows of 924 columns, about 7.2 MB as a row list,
+    # on the row side; (8,6,2,5) is 98,280 rows of 28 columns, about 2.8 MB
+    # as text, on the level side.
+    for params in (CodeParams(12, 6, 2, 3), CodeParams(8, 6, 2, 5)):
+        path, out = tmp_path / "m.txt", tmp_path / "out.txt"
+        write_matrix(BitMatrix.of_construction(params), path, params)
+        matrix, _ = read_matrix(path)
+        tracemalloc.start()
+        try:
+            write_matrix(matrix, out, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.read_bytes() == path.read_bytes(), params
+        assert peak < 2 << 20, params
+        assert matrix._rows is None, params
 
 
 def test_zero_row_header_allocates_nothing_wide(tmp_path):
@@ -441,7 +442,8 @@ def _outcome(path):
 @pytest.mark.parametrize("params", GENERATED, ids=lambda p: ",".join(map(str, p)))
 def test_generated_files_and_edits_read_as_reference(tmp_path, monkeypatch, params):
     path = tmp_path / "m.txt"
-    write_construction(CodeParams(*params), path)
+    params = CodeParams(*params)
+    write_matrix(BitMatrix.of_construction(params), path, params)
     for name, data in _edited_copies(path.read_bytes()).items():
         path.write_bytes(data)
         try:
@@ -471,7 +473,7 @@ def test_generated_files_and_edits_read_as_reference(tmp_path, monkeypatch, para
 def test_generated_file_is_read_without_parsing(tmp_path, monkeypatch, params):
     params = CodeParams(*params)
     path = tmp_path / "m.txt"
-    write_construction(params, path)
+    write_matrix(BitMatrix.of_construction(params), path, params)
     calls = []
     parse = matrix_io._parse_rows
     monkeypatch.setattr(matrix_io, "_parse_rows", lambda *args: calls.append(1) or parse(*args))
@@ -495,7 +497,7 @@ def test_generated_file_read_and_checked_in_no_more_memory(tmp_path):
     # block of text.
     params = CodeParams(11, 5, 2, 3)
     path, bare = tmp_path / "m.txt", tmp_path / "bare.txt"
-    write_construction(params, path)
+    write_matrix(BitMatrix.of_construction(params), path, params)
     bare.write_bytes(b"".join(line for line in path.read_bytes().splitlines(keepends=True)
                               if not line.startswith(b"#")))
 
@@ -547,7 +549,8 @@ def test_piped_copies_are_closed(tmp_path, monkeypatch):
     # A piped file is compared on a temporary copy, which every read closes:
     # recognised, parsed to other bits, or refused as too short.
     path = tmp_path / "m.txt"
-    write_construction(CodeParams(8, 6, 2, 5), path)
+    params = CodeParams(8, 6, 2, 5)
+    write_matrix(BitMatrix.of_construction(params), path, params)
     data = path.read_bytes()
     flipped = data[:-2] + (b"1" if data[-2:-1] == b"0" else b"0") + b"\n"
     truncated = data[:data.rindex(b"\n", 0, -1) + 1]

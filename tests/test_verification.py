@@ -25,7 +25,7 @@ from cfcode.code_core import (
     row_label_from_rank,
     row_rank_from_label,
 )
-from cfcode.matrix_io import provenance_params, read_matrix, write_construction, write_matrix
+from cfcode.matrix_io import provenance_params, read_matrix, write_matrix
 from cfcode.verification import (
     CoverFreeQuery,
     Verdict,
@@ -441,7 +441,7 @@ class TestOrbitMode:
         # bit cleared in the last row fails the compare.
         params = CodeParams(12, 11, 6, 2)
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         data = path.read_bytes()
         at = len(data) - 13 + 5  # column 5 of the last row
         assert data[at:at + 1] == b"1"
@@ -461,7 +461,7 @@ class TestOrbitMode:
         # is then scanned as the same edit with no header is.
         params = CodeParams(10, 9, 5, 2)
         path, bare = tmp_path / "m.txt", tmp_path / "bare.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         data = path.read_bytes()
         num_rows = dimensions(params).num_rows
         first = len(data) - num_rows * 11  # offset of the first data line
@@ -537,7 +537,7 @@ class TestGeneratedFile:
         params = CodeParams(*quad)
         expected = verify_cover_free(BitMatrix.of_construction(params), params.s, params.ell)
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         transposes = []
         matrix, calls = self._read_counting(path, monkeypatch)
         real = code_core._transpose
@@ -552,7 +552,7 @@ class TestGeneratedFile:
         # Counting witnesses scans with the kernel, on columns built once.
         params = CodeParams(7, 4, 2, 2)
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         matrix, calls = self._read_counting(path, monkeypatch)
         verdict = verify_cover_free(matrix, 2, 2, count_witnesses=True)
         assert calls == [params]
@@ -564,7 +564,7 @@ class TestGeneratedFile:
         # take 5.3 MB, and building them in closed form peaks at 10.7 MB.
         params = CodeParams(12, 6, 2, 3)
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         tracemalloc.start()
         try:
             matrix, _ = read_matrix(path)
@@ -582,7 +582,7 @@ class TestGeneratedFile:
         # same edit with no header is.
         params = CodeParams(12, 11, 6, 2)
         path, bare = tmp_path / "m.txt", tmp_path / "bare.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         data = path.read_bytes()
         path.write_bytes(data[:-2] + (b"1" if data[-2:-1] == b"0" else b"0") + b"\n")
         bare.write_bytes(b"".join(line for line in path.read_bytes().splitlines(keepends=True)
@@ -601,7 +601,7 @@ class TestGeneratedFile:
         # copy fails that compare.
         params = CodeParams(12, 6, 2, 2)
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         data = path.read_bytes()
         with piped(data) as fd_path:
             matrix, provenance = read_matrix(fd_path)
@@ -623,7 +623,7 @@ class TestGeneratedFile:
         neg, pos = next(f for f, c in witness_counts(rows, 10, 2, 1) if c == 1)
         row_index = next(i for i, r in enumerate(rows) if witness_count([r], neg, pos))
         path = tmp_path / "m.txt"
-        write_construction(params, path)
+        write_matrix(BitMatrix.of_construction(params), path, params)
         matrix, provenance = read_matrix(path)
         construction = provenance_params(provenance)
         assert matrix.construction == construction == params
