@@ -18,6 +18,7 @@ import itertools
 import math
 import os
 import re
+import stat
 import warnings
 from functools import reduce
 from pathlib import Path
@@ -54,15 +55,26 @@ def write_matrix(matrix: BitMatrix, path: str | Path,
     """Write the matrix; a provenance comment is added when params is given.
     A matrix whose ``construction`` is set, as BitMatrix.of_construction
     makes for gen and read_matrix returns for a generated file, is written
-    from _construction_blocks, with no row built."""
+    from _construction_blocks, with no row built.
+
+    An existing file is written over in place, not truncated first, so its
+    inode, mode and hard links are kept and its blocks are not freed and
+    allocated again. When the write ends, or raises, a regular file is cut
+    at the written length, so it holds the new output, or a prefix of it,
+    and nothing of the old file; a device or FIFO is not cut. A new file
+    gets open()'s mode 0o666 under the umask."""
     blocks = (_row_blocks(matrix.rows, matrix.num_cols) if matrix.construction is None
               else _construction_blocks(matrix.construction))
     header = f"{MAGIC}\n{matrix.num_rows} {matrix.num_cols}\n"
     if params is not None:
         header += f"# n={params.n} k={params.k} s={params.s} l={params.ell}\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode())
-        fh.writelines(blocks)
+    with open(path, "wb", opener=lambda p, f: os.open(p, f & ~os.O_TRUNC, 0o666)) as fh:
+        try:
+            fh.write(header.encode())
+            fh.writelines(blocks)
+        finally:
+            if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                fh.truncate()
 
 
 def _construction_blocks(params: CodeParams) -> Iterator[bytearray]:

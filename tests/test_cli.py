@@ -299,6 +299,18 @@ class TestGen:
         assert code == 3
         assert "budget" in err
 
+    def test_budget_refusal_opens_nothing(self, capsys, tmp_path):
+        # The bound is checked before the output is opened: a missing path is
+        # not made, and an existing file keeps its bytes.
+        old = tmp_path / "old.txt"
+        old.write_bytes(b"old bytes\n")
+        for path in (tmp_path / "new.txt", old):
+            code, _, _ = run(capsys, "gen", "5", "3", "2", "2", "--out", str(path),
+                             "--max-bits", "10")
+            assert code == 3
+        assert not (tmp_path / "new.txt").exists()
+        assert old.read_bytes() == b"old bytes\n"
+
     def test_invalid_params_exit_2(self, capsys, tmp_path):
         code, _, _ = run(capsys, "gen", "4", "3", "2", "3",
                          "--out", str(tmp_path / "x.txt"))

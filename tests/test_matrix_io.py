@@ -1,8 +1,12 @@
+import filecmp
 import gc
 import itertools
 import math
+import os
 import random
+import stat
 import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -372,6 +376,125 @@ def test_recognised_matrix_written_as_its_construction(tmp_path):
         assert out.read_bytes() == path.read_bytes(), params
         assert peak < 2 << 20, params
         assert matrix._rows is None, params
+
+
+def _overwrite_case(case):
+    """The matrix and params write_matrix takes for ``case``: the level
+    side, the row side at l = 3 and l = 2, or _row_blocks of a matrix held
+    as columns."""
+    if case == "columns":
+        rng = random.Random(5)
+        rows = [rng.getrandbits(40) for _ in range(4097)]
+        return BitMatrix.from_columns(len(rows), 40, transpose(rows, 40)), None
+    params = CodeParams(*case)
+    return BitMatrix.of_construction(params), params
+
+
+def _fill(path, size):
+    """Write ``size`` bytes of "#", a byte no matrix file holds, to ``path``."""
+    with open(path, "wb") as fh:
+        for start in range(0, size, 1 << 20):
+            fh.write(b"#" * min(1 << 20, size - start))
+
+
+@pytest.mark.parametrize("old", ["longer", "shorter"])
+@pytest.mark.parametrize("case", [(8, 6, 2, 5), (12, 6, 2, 3), (11, 5, 2, 2), "columns"],
+                         ids=lambda c: ",".join(map(str, c)) if isinstance(c, tuple) else c)
+def test_overwrite_equals_a_fresh_write(tmp_path, case, old):
+    # An existing file is written over in place and cut at the new length:
+    # the same bytes as a write to a new path, the same inode and mode, and
+    # a hard link to it reads the new bytes.
+    matrix, params = _overwrite_case(case)
+    fresh, path, link = tmp_path / "fresh.txt", tmp_path / "m.txt", tmp_path / "link.txt"
+    write_matrix(matrix, fresh, params)
+    size = fresh.stat().st_size
+    _fill(path, size + 4099 if old == "longer" else size // 2 + 1)
+    os.chmod(path, 0o640)
+    os.link(path, link)
+    before = os.stat(path)
+    try:
+        write_matrix(matrix, path, params)
+        after = os.stat(path)
+        assert after.st_ino == before.st_ino
+        assert stat.S_IMODE(after.st_mode) == stat.S_IMODE(before.st_mode) == 0o640
+        assert after.st_size == size
+        assert filecmp.cmp(path, fresh, shallow=False)
+        assert filecmp.cmp(link, fresh, shallow=False)
+    finally:
+        # The (12,6,2,3) files are 42 MB each; kept temporary directories would hold them.
+        for each in (fresh, path, link):
+            each.unlink()
+
+
+def test_target_is_opened_without_truncation(tmp_path, monkeypatch):
+    # Truncating on open would free the old file's blocks, only for the
+    # write to allocate them again.
+    flags = []
+    real_open = os.open
+
+    def spy(path, flag, *args, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)
+    write_matrix(BitMatrix.of_construction(CodeParams(5, 3, 2, 2)), tmp_path / "m.txt")
+    assert len(flags) == 1
+    assert flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+
+def test_new_file_gets_mode_under_the_umask(tmp_path):
+    path = tmp_path / "m.txt"
+    mask = os.umask(0o022)
+    try:
+        write_matrix(BitMatrix.of_construction(CodeParams(5, 3, 2, 2)), path)
+    finally:
+        os.umask(mask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_failed_overwrite_leaves_a_prefix_of_the_new_output(tmp_path, monkeypatch):
+    # Two real blocks, then a failure: the file is cut after them, so it
+    # holds the header and those blocks and no byte of the longer old file.
+    params = CodeParams(8, 6, 2, 5)
+    blocks = list(itertools.islice(matrix_io._construction_blocks(params), 2))
+
+    def failing(construction):
+        yield from blocks
+        raise RuntimeError("block failed")
+
+    path = tmp_path / "m.txt"
+    _fill(path, 4 << 20)
+    monkeypatch.setattr(matrix_io, "_construction_blocks", failing)
+    with pytest.raises(RuntimeError, match="block failed"):
+        write_matrix(BitMatrix.of_construction(params), path, params)
+    header = b"cfcode v1\n98280 28\n# n=8 k=6 s=2 l=5\n"
+    assert path.read_bytes() == header + b"".join(blocks)
+
+
+@pytest.mark.parametrize("params", [(8, 6, 2, 5), (11, 5, 2, 2)],
+                         ids=lambda p: ",".join(map(str, p)))
+def test_targets_that_are_not_regular_files_are_not_cut(tmp_path, params):
+    # ftruncate fails on /dev/null and on a FIFO, so a cut there would raise.
+    params = CodeParams(*params)
+    matrix = BitMatrix.of_construction(params)
+    write_matrix(matrix, os.devnull, params)
+    if not hasattr(os, "mkfifo"):
+        return
+    fresh, fifo = tmp_path / "fresh.txt", tmp_path / "fifo"
+    write_matrix(matrix, fresh, params)
+    os.mkfifo(fifo)
+    drained = []
+
+    def drain():
+        with open(fifo, "rb") as fh:
+            drained.append(fh.read())
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    write_matrix(matrix, fifo, params)
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert drained == [fresh.read_bytes()]
 
 
 def test_zero_row_header_allocates_nothing_wide(tmp_path):
