@@ -33,7 +33,7 @@ MAGIC = "cfcode v1"
 # Bytes of data lines moved per string operation when writing rows, and per
 # read call when reading.
 BLOCK_CHARS = 1 << 15
-# The widest construction written level by level: each level costs a stride
+# The widest ell >= 2 code written level by level: each level costs a stride
 # assignment per column holding each member, and holds t+1 bytes a line.
 LEVEL_WRITE_MAX_COLS = 256
 
@@ -79,17 +79,16 @@ def write_matrix(matrix: BitMatrix, path: str | Path,
 
 def _construction_blocks(params: CodeParams) -> Iterator[bytearray]:
     """The data lines of the matrix of ``params``, a block at a time, with no
-    row list held: _level_blocks up to LEVEL_WRITE_MAX_COLS columns, else
-    blocks of as many rows as fit in BLOCK_CHARS, each row the OR of its
-    members' patterns and each block formatted by one bin() in _lines: the
-    member patterns themselves at ell = 1 (_top_first_blocks),
-    _union_blocks above."""
+    row list held: the member patterns at ell = 1, at every width
+    (_top_first_blocks); at ell >= 2, _level_blocks up to
+    LEVEL_WRITE_MAX_COLS columns, else _union_blocks. A block of rows holds
+    as many as fit in BLOCK_CHARS and is formatted by one bin() in _lines."""
     t = dimensions(params).num_cols
-    if t <= LEVEL_WRITE_MAX_COLS:
-        return _level_blocks(params)
     step = max(1, BLOCK_CHARS // (t + 1))
     if params.ell == 1:
         return _top_first_blocks(_member_patterns(params), step, t)
+    if t <= LEVEL_WRITE_MAX_COLS:
+        return _level_blocks(params)
     return _union_blocks(list(_member_patterns(params)), params.ell, step, t)
 
 
@@ -196,15 +195,12 @@ def _lines(block: int, count: int, t: int) -> bytearray:
 
 
 def _level_blocks(params: CodeParams) -> Iterator[bytearray]:
-    """The data lines of the matrix of ``params``, as text level by level.
-    Level 1 is the m = C(n,s) member lines of _member_patterns. Level j's
-    families with top member c are level j-1's first C(c,j-1) lines with 1s
-    strided into c's columns. Each level grows in one buffer; level ell is
-    yielded a window at a time."""
+    """The data lines of the matrix of ``params``, ell >= 2, as text level
+    by level. Level 1 is the m = C(n,s) member lines of _member_patterns.
+    Level j's families with top member c are level j-1's first C(c,j-1)
+    lines with 1s strided into c's columns. Each level grows in one buffer;
+    level ell is yielded a window at a time."""
     ell, patterns = params.ell, _member_patterns(params)
-    if ell == 1:
-        yield from _top_first_blocks(patterns, TRANSPOSE_BLOCK_ROWS, dimensions(params).num_cols)
-        return
     lines = [bin(v)[3:] for v in patterns]
     width = len(lines[0]) + 1
     holds = [[col for col, bit in enumerate(line) if bit == "1"] for line in lines]
@@ -293,12 +289,12 @@ def read_matrix(path: str | Path) -> tuple[BitMatrix, dict[str, int] | None]:
     to its bytes. Header and comment lines are read one at a time. A file
     whose header names a code of the size line's dimensions is first
     compared, a block at a time as it is read, with the blocks
-    _construction_blocks gives write_matrix, levels of text or rows past
-    LEVEL_WRITE_MAX_COLS columns; if they match to the end, the file is
-    that code, returned by BitMatrix.of_construction with no bit built and
-    no data line parsed. Any other file, or one that failed the compare, is
-    parsed by _parse_rows, which alone raises MatrixFormatError naming the
-    first offending line. A stream that cannot seek back is compared on a copy.
+    _construction_blocks gives write_matrix; if they match to the end, the
+    file is that code, returned by BitMatrix.of_construction with no bit
+    built and no data line parsed. Any other file, or one that failed the
+    compare, is parsed by _parse_rows, which alone raises MatrixFormatError
+    naming the first offending line. A stream that cannot seek back is
+    compared on a copy.
     """
     provenance: dict[str, int] | None = None
     with open(path, encoding="ascii", errors="surrogateescape") as fh:

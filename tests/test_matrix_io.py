@@ -1,5 +1,6 @@
 import filecmp
 import gc
+import hashlib
 import itertools
 import math
 import os
@@ -314,11 +315,13 @@ WRITER_SHAPES = [(3, 2, 1, 1), (5, 3, 2, 2), (6, 4, 2, 13), (7, 4, 2, 6), (8, 6,
                  (10, 9, 5, 2), (16, 15, 8, 1)]
 
 
-@pytest.mark.parametrize("params", WRITER_SHAPES, ids=lambda p: ",".join(map(str, p)))
+@pytest.mark.parametrize("params", [p for p in WRITER_SHAPES if p[3] >= 2],
+                         ids=lambda p: ",".join(map(str, p)))
 @pytest.mark.parametrize("window", [TRANSPOSE_BLOCK_ROWS, 7])
 def test_level_blocks_match_reference(monkeypatch, params, window):
-    # Windows of 7 lines cut the blocks of every level, held ones included.
-    # Every block but the last is one whole window.
+    # The level writer writes l >= 2 only. Windows of 7 lines cut the blocks
+    # of every level, held ones included. Every block but the last is one
+    # whole window.
     monkeypatch.setattr(matrix_io, "TRANSPOSE_BLOCK_ROWS", window)
     rows = construction_rows(*params)
     blocks = list(matrix_io._level_blocks(CodeParams(*params)))
@@ -347,6 +350,34 @@ def test_row_blocks_match_reference(monkeypatch, params, block_chars):
     text = b"".join(blocks).decode()
     reference = format_matrix(construction_rows(*params), num_cols).split("\n", 2)[2]
     assert _first_difference(text, reference) is None
+
+
+# The sha256 of `cfcode gen 1000 999 1 1`'s file, as CI pins it.
+DEEP_MEMBERS_DIGEST = "73c55943acef54951e1d1051e5bd60a4aa21c3cf10c33f3564a642d5c93b8315"
+
+
+@pytest.mark.parametrize("params", [(3, 2, 1, 1), (16, 15, 8, 1), (12, 11, 6, 1),
+                                    (1000, 999, 1, 1)], ids=lambda p: ",".join(map(str, p)))
+def test_single_member_rows_take_one_path_at_every_width(monkeypatch, params):
+    # At l = 1 the rows are the member patterns, written in blocks of as
+    # many rows as fit in BLOCK_CHARS whether t is under LEVEL_WRITE_MAX_COLS
+    # or over it: the level writer is never called.
+    def refuse(*args):
+        raise AssertionError("l = 1 written by the level writer")
+
+    monkeypatch.setattr(matrix_io, "_level_blocks", refuse)
+    num_rows, num_cols = math.comb(params[0], params[2]), math.comb(params[0], params[1])
+    step = max(1, BLOCK_CHARS // (num_cols + 1))
+    blocks = list(matrix_io._construction_blocks(CodeParams(*params)))
+    assert [block.count(b"\n") for block in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert 0 < blocks[-1].count(b"\n") <= step
+    if params[0] == 1000:
+        header = f"cfcode v1\n{num_rows} {num_cols}\n# n=1000 k=999 s=1 l=1\n".encode()
+        assert hashlib.sha256(b"".join([header, *blocks])).hexdigest() == DEEP_MEMBERS_DIGEST
+    else:
+        text = b"".join(blocks).decode()
+        reference = format_matrix(construction_rows(*params), num_cols).split("\n", 2)[2]
+        assert _first_difference(text, reference) is None
 
 
 def _first_difference(text, reference):
